@@ -8,15 +8,35 @@ procedure for the fragment the three instantiations generate:
   NNF conversion and DPLL-style case splitting;
 * equality and disequality over uninterpreted symbols, strings, booleans,
   numbers, and lists — handled by congruence closure (union-find);
-* linear arithmetic over numeric logical variables — handled by exact
-  (Fraction-based) interval propagation;
+* linear arithmetic over numeric logical variables — handled by exact,
+  int-first interval propagation: linear forms, constants, interval
+  endpoints, Fourier–Motzkin scales and difference-graph weights are
+  ``int`` values whenever they are integral, because every quotient goes
+  through one exact-quotient helper (:func:`_div`) that yields a
+  ``Fraction`` only when the quotient is not integral; an unbounded
+  interval endpoint is ``None``, never a large finite stand-in;
 * everything else — handled by bounded, type-directed model search with
   *verification*: a model is only reported after every conjunct
-  concretely evaluates to ``true`` under it.
+  concretely evaluates to ``true`` under it.  The search assigns one
+  variable per depth and checks each literal once, at the depth that
+  assigns its last variable.
 
-The solver is deliberately three-valued (:class:`SatResult`): ``UNSAT`` is
-only returned with a proof (type conflict, congruence contradiction, or
-empty interval), and ``SAT`` is only returned with a verified model.
+The solver is deliberately three-valued (:class:`SatResult`): ``SAT`` is
+only returned with a verified model, and ``UNSAT`` only with a proof:
+
+* a conjunct that simplifies to ``false``;
+* a type conflict;
+* a congruence contradiction;
+* an empty interval;
+* a difference-graph cycle of negative weight (or of zero weight through
+  a strict edge);
+* a disequality contradicting an equality the difference graph forces;
+* a ground contradiction derived by a Fourier–Motzkin round;
+* a disequality against a point interval;
+* an integral atom whose finite domain the disequalities exhaust;
+* a delta conjunct whose negation the prefix already holds (the
+  incremental layer's ¬g shortcut).
+
 ``UNKNOWN`` is treated as "possibly satisfiable" by the engine when
 filtering paths — which can at worst keep an infeasible path alive — and
 as "no counter-model" by the bug reporter, preserving the paper's
@@ -48,13 +68,13 @@ child then costs only its delta:
 * any delta that would require case splitting (a disjunction) falls back
   to the monolithic solve, for that prefix and its descendants.
 
-Results are cached three ways: per prefix identity (``PathCondition.uid``),
+Results are cached four ways: per prefix identity (``PathCondition.uid``),
 per (parent-context, added-conjuncts) pair — so sibling paths re-deriving
-the same guard hit — and in the pre-existing frozenset cache, which the
-incremental layer both consults and populates so conjunct-order
-permutations keep hitting.  Soundness is unchanged: UNSAT is still only
-produced with a proof (type conflict, congruence contradiction, empty
-interval) and SAT only with a model verified against every conjunct.
+the same guard hit — per (parent-context, normalized delta) pair, and in
+the pre-existing frozenset cache, which the incremental layer both
+consults and populates so conjunct-order permutations keep hitting.
+Soundness is unchanged: UNSAT is still only produced with one of the
+proofs above and SAT only with a model verified against every conjunct.
 """
 
 from __future__ import annotations
@@ -79,6 +99,7 @@ from repro.logic.expr import (
     UnOp,
     UnOpExpr,
     free_lvars,
+    walk,
 )
 from repro.logic.pathcond import PathCondition
 from repro.logic.simplify import Simplifier
@@ -237,23 +258,54 @@ class SolverContext:
     #: cache so re-checks of the same prefix report the same provenance
     timed_out: bool = False
 
-_INF = Fraction(10**12)  # pseudo-infinity for interval endpoints
+
+#: an exact number of the theory pass: an ``int`` whenever the value is
+#: integral, a ``Fraction`` only when it is not
+Num = Union[int, Fraction]
+
+
+#: a linear literal ``coef·var + Σ others + const ⋈ 0`` as model search
+#: uses it for ``var``: ``(forced, coef, const, others)``, where ``forced``
+#: marks a positive equality
+_Derivation = Tuple[bool, Num, Num, Tuple[Tuple[Expr, Num], ...]]
+
+
+def _div(a: Num, b: Num) -> Num:
+    """The exact quotient ``a / b``: an ``int`` when it is integral, else a
+    ``Fraction`` (``int / int`` would round to a float)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if not r else Fraction(a, b)
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
+
+
+def _exact(v: Union[int, float]) -> Num:
+    """A GIL number as an exact :data:`Num` (floats to within 10⁻⁹)."""
+    if type(v) is int:
+        return v
+    q = Fraction(v).limit_denominator(10**9)
+    return q.numerator if q.denominator == 1 else q
 
 
 @dataclass
 class _Interval:
-    lo: Fraction = -_INF
-    hi: Fraction = _INF
+    """Bounds of one numeric atom; a ``None`` endpoint is unbounded."""
+
+    lo: Optional[Num] = None
+    hi: Optional[Num] = None
     lo_strict: bool = False
     hi_strict: bool = False
 
     def empty(self) -> bool:
+        if self.lo is None or self.hi is None:
+            return False
         if self.lo > self.hi:
             return True
         return self.lo == self.hi and (self.lo_strict or self.hi_strict)
 
-    def tighten_lo(self, x: Fraction, strict: bool = False) -> bool:
-        if x > self.lo:
+    def tighten_lo(self, x: Num, strict: bool = False) -> bool:
+        if self.lo is None or x > self.lo:
             self.lo, self.lo_strict = x, strict
             return True
         if x == self.lo and strict and not self.lo_strict:
@@ -261,8 +313,8 @@ class _Interval:
             return True
         return False
 
-    def tighten_hi(self, x: Fraction, strict: bool = False) -> bool:
-        if x < self.hi:
+    def tighten_hi(self, x: Num, strict: bool = False) -> bool:
+        if self.hi is None or x < self.hi:
             self.hi, self.hi_strict = x, strict
             return True
         if x == self.hi and strict and not self.hi_strict:
@@ -1303,22 +1355,20 @@ class Solver:
     def _tighten_integral(iv: _Interval) -> bool:
         """Round an integral atom's bounds inward; strict becomes closed."""
         changed = False
-        if iv.lo > -_INF:
+        if iv.lo is not None:
             new_lo = _ceil(iv.lo)
             if iv.lo_strict and new_lo == iv.lo:
                 new_lo += 1
-            if Fraction(new_lo) > iv.lo or iv.lo_strict:
-                if Fraction(new_lo) != iv.lo or iv.lo_strict:
-                    iv.lo, iv.lo_strict = Fraction(new_lo), False
-                    changed = True
-        if iv.hi < _INF:
+            if new_lo != iv.lo or iv.lo_strict:
+                iv.lo, iv.lo_strict = new_lo, False
+                changed = True
+        if iv.hi is not None:
             new_hi = _floor(iv.hi)
-            if iv.hi_strict and Fraction(new_hi) == iv.hi:
+            if iv.hi_strict and new_hi == iv.hi:
                 new_hi -= 1
-            if Fraction(new_hi) < iv.hi or iv.hi_strict:
-                if Fraction(new_hi) != iv.hi or iv.hi_strict:
-                    iv.hi, iv.hi_strict = Fraction(new_hi), False
-                    changed = True
+            if new_hi != iv.hi or iv.hi_strict:
+                iv.hi, iv.hi_strict = new_hi, False
+                changed = True
         return changed
 
     def _integral_domain_exhausted(
@@ -1346,17 +1396,16 @@ class Solver:
             if len(coefs) != 1:
                 continue
             ((atom, coef),) = coefs.items()
-            value = -const / coef
-            excluded.setdefault(atom, set()).add(value)
+            excluded.setdefault(atom, set()).add(_div(-const, coef))
         for atom in integral:
             iv = intervals.get(atom)
-            if iv is None or iv.lo <= -_INF or iv.hi >= _INF:
+            if iv is None or iv.lo is None or iv.hi is None:
                 continue
             lo, hi = _ceil(iv.lo), _floor(iv.hi)
             if hi - lo > 64:
                 continue
             banned = excluded.get(atom, set())
-            if all(Fraction(k) in banned for k in range(lo, hi + 1)):
+            if all(k in banned for k in range(lo, hi + 1)):
                 return True
         return False
 
@@ -1382,7 +1431,13 @@ class Solver:
             determinate = True
             for atom, c in coefs.items():
                 iv = intervals.get(atom)
-                if iv is None or iv.lo != iv.hi or iv.lo_strict or iv.hi_strict:
+                if (
+                    iv is None
+                    or iv.lo is None
+                    or iv.lo != iv.hi
+                    or iv.lo_strict
+                    or iv.hi_strict
+                ):
                     determinate = False
                     break
                 lo += c * iv.lo
@@ -1396,7 +1451,7 @@ class Solver:
     def _propagate_intervals(
         self, literals: List[Expr], cc: "_CongruenceClosure"
     ) -> Optional[Dict[Expr, _Interval]]:
-        constraints: List[Tuple[Dict[Expr, Fraction], str, Fraction]] = []
+        constraints: List[Tuple[Dict[Expr, Num], str, Num]] = []
 
         def add(e: Expr, op: str) -> None:
             lf = _linear_form(e)
@@ -1411,7 +1466,7 @@ class Solver:
                     "==": const == 0,
                 }[op]
                 if not ok:
-                    constraints.append(({}, "unsat", Fraction(0)))
+                    constraints.append(({}, "unsat", 0))
                 return
             constraints.append((coefs, op, -const))
 
@@ -1451,7 +1506,7 @@ class Solver:
         atoms = {a for coefs, _, _ in constraints for a in coefs} | diseq_atoms
         for atom in atoms:
             if isinstance(atom, UnOpExpr) and atom.op in (UnOp.STRLEN, UnOp.LSTLEN):
-                constraints.append(({atom: Fraction(-1)}, "<=", Fraction(0)))
+                constraints.append(({atom: -1}, "<=", 0))
             if (
                 isinstance(atom, BinOpExpr)
                 and atom.op is BinOp.MOD
@@ -1460,9 +1515,9 @@ class Solver:
                 and not isinstance(atom.right.value, bool)
                 and atom.right.value > 0
             ):
-                n = Fraction(int(atom.right.value))
-                constraints.append(({atom: Fraction(-1)}, "<=", Fraction(0)))
-                constraints.append(({atom: Fraction(1)}, "<=", n - 1))
+                n = int(atom.right.value)
+                constraints.append(({atom: -1}, "<=", 0))
+                constraints.append(({atom: 1}, "<=", n - 1))
                 # Relate the remainder to its operand through the integral
                 # quotient: m = x - n·⌊x/n⌋.  This is what lets interval
                 # reasoning see through circular-buffer indexing.
@@ -1471,10 +1526,10 @@ class Solver:
                     quotient = UnOpExpr(
                         UnOp.FLOOR, BinOpExpr(BinOp.DIV, atom.left, atom.right)
                     )
-                    coefs: Dict[Expr, Fraction] = {atom: Fraction(1)}
-                    coefs[quotient] = coefs.get(quotient, Fraction(0)) + n
+                    coefs: Dict[Expr, Num] = {atom: 1}
+                    coefs[quotient] = coefs.get(quotient, 0) + n
                     for a, c in left_form[0].items():
-                        coefs[a] = coefs.get(a, Fraction(0)) - c
+                        coefs[a] = coefs.get(a, 0) - c
                         if coefs[a] == 0:
                             del coefs[a]
                     constraints.append((coefs, "==", left_form[1]))
@@ -1488,8 +1543,7 @@ class Solver:
                 and isinstance(known, (int, float))
                 and not isinstance(known, bool)
             ):
-                k = Fraction(known).limit_denominator(10**9)
-                constraints.append(({atom: Fraction(1)}, "==", k))
+                constraints.append(({atom: 1}, "==", _exact(known)))
 
         if any(op == "unsat" for _, op, _ in constraints):
             return None
@@ -1522,38 +1576,33 @@ class Solver:
                     return None
             for coefs, op, rhs in constraints:
                 for target, ct in coefs.items():
-                    # ct * target ⋈ rhs - Σ_{a≠target} ca * a
-                    residual_lo = rhs
-                    residual_hi = rhs
-                    feasible = True
+                    # ct * target ⋈ rhs - Σ_{a≠target} ca * a; a residual
+                    # bound fed by an unbounded endpoint is itself
+                    # unbounded (None)
+                    residual_lo = residual_hi = rhs
                     for a, ca in coefs.items():
                         if a is target:
                             continue
                         iv = intervals[a]
-                        lo_term = ca * (iv.lo if ca > 0 else iv.hi)
-                        hi_term = ca * (iv.hi if ca > 0 else iv.lo)
-                        residual_lo -= hi_term
-                        residual_hi -= lo_term
-                        if abs(residual_lo) > _INF or abs(residual_hi) > _INF:
-                            feasible = False
-                            break
-                    if not feasible:
-                        continue
+                        lo, hi = (iv.lo, iv.hi) if ca > 0 else (iv.hi, iv.lo)
+                        if residual_lo is not None:
+                            residual_lo = None if hi is None else residual_lo - ca * hi
+                        if residual_hi is not None:
+                            residual_hi = None if lo is None else residual_hi - ca * lo
                     iv = intervals[target]
-                    if op in ("<=", "<"):
+                    if residual_hi is not None:
                         # ct * target <= residual_hi
                         strict = op == "<"
                         if ct > 0:
-                            changed |= iv.tighten_hi(residual_hi / ct, strict)
+                            changed |= iv.tighten_hi(_div(residual_hi, ct), strict)
                         else:
-                            changed |= iv.tighten_lo(residual_hi / ct, strict)
-                    elif op == "==":
+                            changed |= iv.tighten_lo(_div(residual_hi, ct), strict)
+                    if op == "==" and residual_lo is not None:
+                        # ct * target >= residual_lo
                         if ct > 0:
-                            changed |= iv.tighten_hi(residual_hi / ct)
-                            changed |= iv.tighten_lo(residual_lo / ct)
+                            changed |= iv.tighten_lo(_div(residual_lo, ct))
                         else:
-                            changed |= iv.tighten_lo(residual_hi / ct)
-                            changed |= iv.tighten_hi(residual_lo / ct)
+                            changed |= iv.tighten_hi(_div(residual_lo, ct))
                     if iv.empty():
                         return None
             if not changed:
@@ -1574,17 +1623,32 @@ class Solver:
         cc: "_CongruenceClosure",
         intervals: Dict[Expr, _Interval],
     ) -> Optional[Model]:
-        variables = sorted(set().union(*(free_lvars(e) for e in literals)) if literals else set())
+        free = [free_lvars(e) for e in literals]
+        variables = sorted(set().union(*free))
         if not variables:
             env: Model = {}
             return env if self._verify(original, env) else None
 
-        candidates = {
-            name: self._candidates(name, var_types, cc, intervals, literals)
+        seeds = _literal_seeds(literals)
+        # Each variable's candidates, keyed by type and repr as the
+        # per-node deduplication against derived values needs them.
+        keyed = {
+            name: [
+                ((type(v).__name__, repr(v)), v)
+                for v in self._candidates(name, var_types, cc, intervals, seeds)
+            ]
             for name in variables
         }
         # Assign most-constrained variables first.
-        variables.sort(key=lambda name: len(candidates[name]))
+        variables.sort(key=lambda name: len(keyed[name]))
+        depth = {name: i for i, name in enumerate(variables)}
+        # The schedule: each literal is checked once, at the depth that
+        # assigns its last variable (ground literals at depth 0) — the
+        # literals of earlier depths already held under the same values.
+        checks: List[List[Expr]] = [[] for _ in variables]
+        for lit, names in zip(literals, free):
+            checks[max((depth[n] for n in names), default=0)].append(lit)
+        derivations = _derivations(literals, depth)
 
         budget = [_SEARCH_NODE_LIMIT]
 
@@ -1597,10 +1661,9 @@ class Solver:
             # Derived candidates first: values forced or bounded by linear
             # literals whose other atoms are already assigned (unit
             # propagation) — this is what solves ``x = 2y ∧ x - y > 10``.
-            options = self._derived_candidates(name, env, literals)
+            options = self._derived_candidates(derivations.get(name, ()), env)
             seen_opts = {(type(v).__name__, repr(v)) for v in options}
-            for value in candidates[name]:
-                k = (type(value).__name__, repr(value))
+            for k, value in keyed[name]:
                 if k not in seen_opts:
                     seen_opts.add(k)
                     options.append(value)
@@ -1609,7 +1672,7 @@ class Solver:
                 self.stats.search_nodes += 1
                 self._charge()
                 env[name] = value
-                if self._consistent_so_far(literals, env):
+                if self._verify(checks[idx], env):
                     found = dfs(idx + 1, env)
                     if found is not None:
                         return found
@@ -1621,57 +1684,36 @@ class Solver:
         return dfs(0, {})
 
     @staticmethod
-    def _derived_candidates(name: str, env: Model, literals: List[Expr]) -> List[Value]:
-        """Values for ``name`` forced/bounded by literals over assigned vars.
+    def _derived_candidates(
+        derivations: Sequence[_Derivation], env: Model
+    ) -> List[Value]:
+        """Values for a variable forced/bounded by literals over assigned vars.
 
-        For each (dis)equality or inequality literal whose linear form
-        mentions the variable once and whose remaining atoms all evaluate
-        under the partial assignment, compute the implied value or bound.
+        For each of the variable's :func:`_derivations` whose remaining
+        atoms all evaluate under the partial assignment, compute the
+        implied value (an equality) or the values around the bound.
         """
-        var = LVar(name)
         out: List[Value] = []
-        for lit in literals:
-            negated = False
-            body = lit
-            if isinstance(body, UnOpExpr) and body.op is UnOp.NOT:
-                negated = True
-                body = body.operand
-            if not isinstance(body, BinOpExpr) or body.op not in (
-                BinOp.EQ, BinOp.LT, BinOp.LEQ,
-            ):
-                continue
-            lf = _linear_form(BinOpExpr(BinOp.SUB, body.left, body.right))
-            if lf is None:
-                continue
-            coefs, const = lf
-            if var not in coefs:
-                continue
-            coef = coefs[var]
+        for forced, coef, const, others in derivations:
             residual = const
-            ok = True
-            for atom, c in coefs.items():
-                if atom == var:
-                    continue
+            for atom, c in others:
                 try:
                     value = evaluate(atom, lvar_env=env)
                 except EvalError:
-                    ok = False
                     break
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    ok = False
                     break
-                residual += c * Fraction(value).limit_denominator(10**9)
-            if not ok:
-                continue
-            # coef*var + residual ⋈ 0  →  boundary value:
-            boundary = -residual / coef
-            as_num = int(boundary) if boundary.denominator == 1 else float(boundary)
-            if body.op is BinOp.EQ and not negated:
-                out.append(as_num)
-            elif isinstance(as_num, int):
-                out.extend([as_num + 1, as_num - 1, as_num])
+                residual += c * _exact(value)
             else:
-                out.extend([as_num, _ceil(boundary), _floor(boundary)])
+                # coef*var + residual ⋈ 0  →  boundary value:
+                boundary = _div(-residual, coef)
+                as_num = boundary if type(boundary) is int else float(boundary)
+                if forced:
+                    out.append(as_num)
+                elif type(boundary) is int:
+                    out.extend([as_num + 1, as_num - 1, as_num])
+                else:
+                    out.extend([as_num, _ceil(boundary), _floor(boundary)])
         return out
 
     def _candidates(
@@ -1680,10 +1722,11 @@ class Solver:
         var_types: Dict[str, GilType],
         cc: "_CongruenceClosure",
         intervals: Dict[Expr, _Interval],
-        literals: List[Expr],
+        seeds: Tuple[Dict[str, List[Union[int, float]]], List[str], List[Symbol]],
     ) -> List[Value]:
         var = LVar(name)
         out: List[Value] = []
+        near, strings, symbols = seeds
 
         # Values this variable is equated to (directly or via closure).
         forced = cc.known_value(var)
@@ -1697,31 +1740,33 @@ class Solver:
         if vtype in (None, GilType.NUMBER):
             nums: List[Value] = []
             if iv is not None:
-                lo_int = _ceil(iv.lo) if iv.lo > -_INF else None
-                hi_int = _floor(iv.hi) if iv.hi < _INF else None
+                lo_int = _ceil(iv.lo) if iv.lo is not None else None
+                hi_int = _floor(iv.hi) if iv.hi is not None else None
                 if lo_int is not None:
                     nums.extend([lo_int, lo_int + 1, lo_int + 2])
                 if hi_int is not None:
                     nums.extend([hi_int, hi_int - 1])
                 if lo_int is not None and hi_int is not None and lo_int <= hi_int:
                     nums.append((lo_int + hi_int) // 2)
-                if not iv.empty() and iv.lo <= 0 <= iv.hi:
+                if (
+                    not iv.empty()
+                    and (iv.lo is None or iv.lo <= 0)
+                    and (iv.hi is None or 0 <= iv.hi)
+                ):
                     nums.append(0)
                 # Open/real intervals may exclude every integer: offer the
                 # exact midpoint too (e.g. 0 < x < 1 → 1/2).
-                if iv.lo > -_INF and iv.hi < _INF and iv.lo < iv.hi:
-                    mid = (iv.lo + iv.hi) / 2
-                    nums.append(mid)
+                if iv.lo is not None and iv.hi is not None and iv.lo < iv.hi:
+                    nums.append(_div(iv.lo + iv.hi, 2))
             else:
                 nums.extend([0, 1, 2, -1, 3, 7])
             # Literals compared against the variable are good seeds.
-            for lit in literals:
-                for v in _numeric_literals_near(lit, var):
-                    nums.extend([v, v - 1, v + 1])
+            for v in map(int, near.get(name, ())):
+                nums.extend([v, v - 1, v + 1])
             seen = set()
             for n in nums:
                 if isinstance(n, Fraction):
-                    n = int(n) if n.denominator == 1 else float(n)
+                    n = float(n)
                 if n not in seen:
                     seen.add(n)
                     out.append(n)
@@ -1731,14 +1776,10 @@ class Solver:
             out.extend([True, False])
         if vtype in (None, GilType.STRING):
             out.extend(["", f"str_{name}", "a"])
-            for lit in literals:
-                for v in _string_literals_in(lit):
-                    out.append(v)
+            out.extend(strings)
         if vtype in (None, GilType.SYMBOL):
             out.append(Symbol(f"fresh_{name}"))
-            for lit in literals:
-                for v in _symbol_literals_in(lit):
-                    out.append(v)
+            out.extend(symbols)
         if vtype in (None, GilType.LIST):
             out.extend([(), (0,), (0, 0), (0, 0, 0)])
 
@@ -1753,20 +1794,10 @@ class Solver:
         return deduped
 
     @staticmethod
-    def _consistent_so_far(literals: List[Expr], env: Model) -> bool:
-        """Evaluate the literals whose variables are all assigned."""
-        for lit in literals:
-            if free_lvars(lit) <= env.keys():
-                try:
-                    if evaluate(lit, lvar_env=env) is not True:
-                        return False
-                except EvalError:
-                    return False
-        return True
-
-    @staticmethod
     def _verify(conjuncts: List[Expr], env: Model) -> bool:
-        """Final check: every original conjunct holds under ``env``."""
+        """Every conjunct holds under ``env`` (an evaluation error is a
+        failure): the final check of a model, and the per-depth check of
+        model search."""
         for c in conjuncts:
             try:
                 if evaluate(c, lvar_env=env) is not True:
@@ -1777,16 +1808,16 @@ class Solver:
 
 
 def _fourier_motzkin_round(
-    constraints: List[Tuple[Dict[Expr, Fraction], str, Fraction]],
+    constraints: List[Tuple[Dict[Expr, Num], str, Num]],
     cap: int = 64,
-) -> List[Tuple[Dict[Expr, Fraction], str, Fraction]]:
+) -> List[Tuple[Dict[Expr, Num], str, Num]]:
     """One round of Fourier–Motzkin elimination, bounded.
 
     Normalises every constraint to ``Σ c·a ≤ rhs`` (equalities become two
     inequalities), then combines pairs with opposite signs on a shared
     variable, keeping only derived constraints over at most two atoms.
     """
-    ineqs: List[Tuple[Dict[Expr, Fraction], bool, Fraction]] = []
+    ineqs: List[Tuple[Dict[Expr, Num], bool, Num]] = []
     for coefs, op, rhs in constraints:
         if op == "==":
             ineqs.append((coefs, False, rhs))
@@ -1795,7 +1826,7 @@ def _fourier_motzkin_round(
             ineqs.append((coefs, op == "<", rhs))
 
     atoms = sorted({a for coefs, _, _ in ineqs for a in coefs}, key=repr)
-    derived: List[Tuple[Dict[Expr, Fraction], str, Fraction]] = []
+    derived: List[Tuple[Dict[Expr, Num], str, Num]] = []
     seen: set = set()
     for var in atoms:
         pos = [c for c in ineqs if c[0].get(var, 0) > 0]
@@ -1804,13 +1835,15 @@ def _fourier_motzkin_round(
             continue
         for p_coefs, p_strict, p_rhs in pos:
             for n_coefs, n_strict, n_rhs in neg:
-                scale_p = Fraction(1) / p_coefs[var]
-                scale_n = Fraction(1) / (-n_coefs[var])
-                combined: Dict[Expr, Fraction] = {}
+                # p/p[var] + n/|n[var]|, cross-multiplied over one
+                # positive common denominator
+                scale_p, scale_n = -n_coefs[var], p_coefs[var]
+                den = scale_p * scale_n
+                combined: Dict[Expr, Num] = {}
                 for a, c in p_coefs.items():
-                    combined[a] = combined.get(a, Fraction(0)) + c * scale_p
+                    combined[a] = combined.get(a, 0) + c * scale_p
                 for a, c in n_coefs.items():
-                    combined[a] = combined.get(a, Fraction(0)) + c * scale_n
+                    combined[a] = combined.get(a, 0) + c * scale_n
                 combined = {a: c for a, c in combined.items() if c != 0}
                 if len(combined) > 2:
                     continue
@@ -1820,8 +1853,11 @@ def _fourier_motzkin_round(
                     # Ground consequence: 0 ⋈ rhs must hold.
                     feasible = (0 < rhs) if strict else (0 <= rhs)
                     if not feasible:
-                        return [({}, "unsat", Fraction(0))]
+                        return [({}, "unsat", 0)]
                     continue
+                if den != 1:
+                    combined = {a: _div(c, den) for a, c in combined.items()}
+                    rhs = _div(rhs, den)
                 key = (
                     tuple(sorted(((repr(a), c) for a, c in combined.items()))),
                     strict,
@@ -1840,7 +1876,7 @@ def _fourier_motzkin_round(
 
 
 def _difference_analysis_unsat(
-    constraints: List[Tuple[Dict[Expr, Fraction], str, Fraction]],
+    constraints: List[Tuple[Dict[Expr, Num], str, Num]],
     literals: List[Expr],
 ) -> bool:
     """Difference-constraint reasoning: cycles and forced equalities.
@@ -1857,9 +1893,9 @@ def _difference_analysis_unsat(
     Interval propagation alone sees neither, since individual intervals
     can stay unbounded.
     """
-    edges: Dict[Tuple[Expr, Expr], Tuple[Fraction, bool]] = {}
+    edges: Dict[Tuple[Expr, Expr], Tuple[Num, bool]] = {}
 
-    def add_edge(src: Expr, dst: Expr, weight: Fraction, strict: bool) -> None:
+    def add_edge(src: Expr, dst: Expr, weight: Num, strict: bool) -> None:
         prior = edges.get((src, dst))
         if prior is None or (weight, not strict) < (prior[0], not prior[1]):
             edges[(src, dst)] = (weight, strict)
@@ -1873,7 +1909,7 @@ def _difference_analysis_unsat(
         # Normalise to  pos - neg ≤ rhs / |c|.
         scale = abs(c1)
         pos, neg = (a1, a2) if c1 > 0 else (a2, a1)
-        bound = rhs / scale
+        bound = _div(rhs, scale)
         if op in ("<=", "<"):
             add_edge(neg, pos, bound, op == "<")
         elif op == "==":
@@ -1886,7 +1922,7 @@ def _difference_analysis_unsat(
     nodes = sorted({n for pair in edges for n in pair}, key=repr)
     index = {n: i for i, n in enumerate(nodes)}
     n = len(nodes)
-    dist: List[List[Optional[Tuple[Fraction, bool]]]] = [
+    dist: List[List[Optional[Tuple[Num, bool]]]] = [
         [None] * n for _ in range(n)
     ]
     for (src, dst), (w, s) in edges.items():
@@ -1952,10 +1988,10 @@ def _difference_analysis_unsat(
 # -- linear forms ------------------------------------------------------------
 
 _MISSING = object()
-_linear_cache: Dict[Expr, Optional[Tuple[Dict[Expr, Fraction], Fraction]]] = {}
+_linear_cache: Dict[Expr, Optional[Tuple[Dict[Expr, Num], Num]]] = {}
 
 
-def _linear_form(e: Expr) -> Optional[Tuple[Dict[Expr, Fraction], Fraction]]:
+def _linear_form(e: Expr) -> Optional[Tuple[Dict[Expr, Num], Num]]:
     """Memoising wrapper around :func:`_linear_form_impl`.
 
     Hash-consed expressions make the memo global and cheap: the same atom
@@ -1974,19 +2010,19 @@ def _linear_form(e: Expr) -> Optional[Tuple[Dict[Expr, Fraction], Fraction]]:
 
 def _linear_form_impl(
     e: Expr,
-) -> Optional[Tuple[Dict[Expr, Fraction], Fraction]]:
+) -> Optional[Tuple[Dict[Expr, Num], Num]]:
     """``e`` as (coefficients over numeric atoms, constant), or None.
 
     Atoms are logical variables and opaque numeric terms (list lengths,
-    non-linear products); the decomposition is exact over Fractions.
+    non-linear products); the decomposition is exact (:data:`Num`).
     """
     if isinstance(e, Lit):
         v = e.value
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             return None
-        return {}, Fraction(v).limit_denominator(10**9) if isinstance(v, float) else Fraction(v)
+        return {}, _exact(v)
     if isinstance(e, LVar):
-        return {e: Fraction(1)}, Fraction(0)
+        return {e: 1}, 0
     if isinstance(e, UnOpExpr):
         if e.op is UnOp.NEG:
             sub = _linear_form(e.operand)
@@ -1995,7 +2031,7 @@ def _linear_form_impl(
             coefs, const = sub
             return {a: -c for a, c in coefs.items()}, -const
         if e.op in (UnOp.STRLEN, UnOp.LSTLEN, UnOp.FLOOR, UnOp.TONUMBER):
-            return {e: Fraction(1)}, Fraction(0)
+            return {e: 1}, 0
         return None
     if isinstance(e, BinOpExpr):
         if e.op in (BinOp.ADD, BinOp.SUB):
@@ -2006,7 +2042,7 @@ def _linear_form_impl(
             sign = 1 if e.op is BinOp.ADD else -1
             coefs = dict(left[0])
             for a, c in right[0].items():
-                coefs[a] = coefs.get(a, Fraction(0)) + sign * c
+                coefs[a] = coefs.get(a, 0) + sign * c
                 if coefs[a] == 0:
                     del coefs[a]
             return coefs, left[1] + sign * right[1]
@@ -2014,47 +2050,93 @@ def _linear_form_impl(
             left = _linear_form(e.left)
             right = _linear_form(e.right)
             if left is None or right is None:
-                return {e: Fraction(1)}, Fraction(0)
+                return {e: 1}, 0
             if not left[0]:
                 k = left[1]
                 return {a: k * c for a, c in right[0].items() if k * c != 0}, k * right[1]
             if not right[0]:
                 k = right[1]
                 return {a: k * c for a, c in left[0].items() if k * c != 0}, k * left[1]
-            return {e: Fraction(1)}, Fraction(0)  # non-linear: opaque atom
+            return {e: 1}, 0  # non-linear: opaque atom
         if e.op is BinOp.DIV:
             left = _linear_form(e.left)
             right = _linear_form(e.right)
             if left is not None and right is not None and not right[0] and right[1] != 0:
                 k = right[1]
-                return {a: c / k for a, c in left[0].items()}, left[1] / k
-            return {e: Fraction(1)}, Fraction(0)
+                return {a: _div(c, k) for a, c in left[0].items()}, _div(left[1], k)
+            return {e: 1}, 0
         if e.op in (BinOp.MOD, BinOp.LNTH, BinOp.MIN, BinOp.MAX):
-            return {e: Fraction(1)}, Fraction(0)  # opaque numeric atom
+            return {e: 1}, 0  # opaque numeric atom
         return None
     return None
 
 
-def _ceil(x: Fraction) -> int:
+def _ceil(x: Num) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-def _floor(x: Fraction) -> int:
+def _floor(x: Num) -> int:
     return x.numerator // x.denominator
 
 
-def _numeric_literals_near(e: Expr, var: LVar) -> List[int]:
-    """Integer literals appearing beside ``var`` in comparisons within ``e``."""
-    out: List[int] = []
+def _derivations(
+    literals: List[Expr], depth: Dict[str, int]
+) -> Dict[str, List[_Derivation]]:
+    """Per variable, the linear literals that can bound it in model search.
+
+    Each (dis)equality or inequality literal with a linear form gives every
+    variable it mentions a :data:`_Derivation`, in literal order.  An entry
+    with a variable atom assigned no earlier than ``var`` (``depth``) is
+    left out: that atom is unbound whenever ``var``'s candidates are
+    derived.
+    """
+    out: Dict[str, List[_Derivation]] = {}
+    for lit in literals:
+        negated = False
+        body = lit
+        if isinstance(body, UnOpExpr) and body.op is UnOp.NOT:
+            negated = True
+            body = body.operand
+        if not isinstance(body, BinOpExpr) or body.op not in (
+            BinOp.EQ, BinOp.LT, BinOp.LEQ,
+        ):
+            continue
+        lf = _linear_form(BinOpExpr(BinOp.SUB, body.left, body.right))
+        if lf is None:
+            continue
+        coefs, const = lf
+        forced = body.op is BinOp.EQ and not negated
+        for var, coef in coefs.items():
+            if not isinstance(var, LVar):
+                continue
+            others = tuple((a, c) for a, c in coefs.items() if a != var)
+            if any(
+                isinstance(a, LVar) and depth[a.name] >= depth[var.name]
+                for a, _ in others
+            ):
+                continue
+            out.setdefault(var.name, []).append((forced, coef, const, others))
+    return out
+
+
+def _literal_seeds(
+    literals: List[Expr],
+) -> Tuple[Dict[str, List[Union[int, float]]], List[str], List[Symbol]]:
+    """Seed values for :meth:`Solver._candidates`, scanned once per search:
+    the numeric literals compared against each variable (by name), then
+    every string and every symbol literal, all in literal order."""
+    near: Dict[str, List[Union[int, float]]] = {}
+    strings: List[str] = []
+    symbols: List[Symbol] = []
 
     def visit(node: Expr) -> None:
         if isinstance(node, BinOpExpr):
             if node.op in (BinOp.EQ, BinOp.LT, BinOp.LEQ):
                 for a, b in ((node.left, node.right), (node.right, node.left)):
-                    if a == var and isinstance(b, Lit):
+                    if isinstance(a, LVar) and isinstance(b, Lit):
                         v = b.value
                         if isinstance(v, (int, float)) and not isinstance(v, bool):
-                            out.append(int(v))
+                            near.setdefault(a.name, []).append(v)
             visit(node.left)
             visit(node.right)
         elif isinstance(node, UnOpExpr):
@@ -2063,20 +2145,15 @@ def _numeric_literals_near(e: Expr, var: LVar) -> List[int]:
             for item in node.items:
                 visit(item)
 
-    visit(e)
-    return out
-
-
-def _string_literals_in(e: Expr) -> List[str]:
-    from repro.logic.expr import walk
-
-    return [n.value for n in walk(e) if isinstance(n, Lit) and isinstance(n.value, str)]
-
-
-def _symbol_literals_in(e: Expr) -> List[Symbol]:
-    from repro.logic.expr import walk
-
-    return [n.value for n in walk(e) if isinstance(n, Lit) and isinstance(n.value, Symbol)]
+    for lit in literals:
+        visit(lit)
+        for node in walk(lit):
+            if isinstance(node, Lit):
+                if isinstance(node.value, str):
+                    strings.append(node.value)
+                elif isinstance(node.value, Symbol):
+                    symbols.append(node.value)
+    return near, strings, symbols
 
 
 # -- congruence closure -------------------------------------------------------

@@ -215,7 +215,11 @@ class TestPathCondition:
 # -- property-based: solver soundness ------------------------------------------
 
 _num_atoms = st.one_of(
-    st.integers(-5, 5).map(Lit), st.sampled_from([LVar("x"), LVar("y")])
+    st.integers(-5, 5).map(Lit),
+    st.sampled_from([LVar("x"), LVar("y")]),
+    # Scaled, divided and summed terms and a fractional literal reach
+    # non-integral quotients in the theory pass.
+    st.sampled_from([Lit(2) * x, x / 3, x + y, Lit(0.5)]),
 )
 
 

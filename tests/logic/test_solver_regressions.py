@@ -6,6 +6,7 @@ during development; each is pinned with the mechanism that now decides it.
 
 import pytest
 
+from repro.gil.ops import evaluate
 from repro.gil.values import GilType, Symbol
 from repro.logic.expr import (
     BinOp,
@@ -111,6 +112,27 @@ class TestFourierMotzkin:
         # x = 2y ∧ x < y ∧ y > 0: eliminating x yields y < 0.
         pc = [x.eq(y * 2), x.lt(y), Lit(0).lt(y)]
         assert Solver().check(pc) is SatResult.UNSAT
+
+
+class TestUnboundedEndpoints:
+    """An unbounded endpoint is unbounded, not a large finite number: a
+    bound past ±10¹² once made these satisfiable guards UNSAT."""
+
+    @pytest.mark.parametrize(
+        "pc",
+        [
+            [Lit(2 * 10**12).lt(x)],
+            [x.lt(Lit(-2 * 10**12))],
+            [x.eq(Lit(3 * 10**12))],
+        ],
+        ids=["above-2e12", "below-minus-2e12", "equals-3e12"],
+    )
+    def test_large_bound_is_sat(self, pc):
+        s = Solver()
+        assert s.check(pc) is SatResult.SAT
+        model = s.get_model(pc)
+        assert model is not None
+        assert all(evaluate(c, lvar_env=model) is True for c in pc)
 
 
 class TestTypeAwareness:

@@ -24,10 +24,20 @@ fingerprint-check`` regenerates the fingerprint and compares bytes.
 Anything that changes branch ordering, learned conditions, solver-call
 sequences, or error values shows up as a diff.
 
+The ``solver`` arm pins the solver itself on the Table 1/2/3 tests: per
+test, the verdict and model (keys sorted, every value with its type) of
+each solved prefix context in solve order, and the model-search node
+count.  ``tests/fingerprints/solver.json`` was generated before the
+theory pass became int-first, so a change to a verdict, a model value or
+its type, or the search order shows up as a diff.
+
 Usage::
 
     PYTHONPATH=src:. python tools/fingerprint.py --out FILE [--arms while,js,c]
     PYTHONPATH=src:. python tools/fingerprint.py --check FILE [--arms while,js,c]
+
+Arms: ``while``, ``js``, ``c`` (the default set), ``heap``, ``rust`` and
+``solver``.
 
 ``--check`` exits non-zero (listing the first differing lines) if the
 regenerated fingerprint is not byte-identical to ``FILE``.
@@ -54,6 +64,7 @@ from repro.state.symbolic import SymbolicStateModel
 from repro.targets.c_like import MiniCLanguage
 from repro.targets.js_like import MiniJSLanguage
 from repro.testing.faults import FaultPlan
+from repro.testing.harness import SymbolicTester
 from repro.testing.io import atomic_write_bytes
 
 #: While-fuzzer seed slices per arm.  Kept moderate so ``make
@@ -371,9 +382,58 @@ def rust_arm() -> Dict:
     )
 
 
+class _KeepSolver(SymbolicTester):
+    """A tester that keeps the solver of the test it ran last."""
+
+    def make_solver(self):
+        self.solver = super().make_solver()
+        return self.solver
+
+
+def _context_key(ctx) -> str:
+    """A solved prefix context: its verdict, then its model, keys sorted
+    and every value with its type."""
+    if ctx.model is None:
+        return ctx.result.name
+    return " ".join(
+        [ctx.result.name]
+        + [f"{k}={type(v).__name__}:{v!r}" for k, v in sorted(ctx.model.items())]
+    )
+
+
+def solver_arm() -> Dict:
+    """Every Table 1/2/3 test's solved prefix contexts, in solve order,
+    and its model-search node count (default engine configuration)."""
+    from repro.targets.c_like.collections import suites as c_suites
+    from repro.targets.js_like.buckets import suites as js_suites
+    from repro.targets.rust_like import MiniRustLanguage
+    from repro.targets.rust_like.collections import suites as rust_suites
+
+    section: Dict[str, Dict] = {}
+    for table, suites, language in (
+        ("table1", js_suites, MiniJSLanguage()),
+        ("table2", c_suites, MiniCLanguage()),
+        ("table3", rust_suites, MiniRustLanguage()),
+    ):
+        tester = _KeepSolver(language, replay=False)
+        for suite in suites.suite_names():
+            source, tests = suites.suite(suite)
+            prog = language.compile(source)
+            for test in tests:
+                tester.run_test(prog, test)
+                solver = tester.solver
+                section[f"{table}/{suite}/{test}"] = {
+                    "contexts": [
+                        _context_key(ctx) for ctx in solver._contexts.values()
+                    ],
+                    "search_nodes": solver.stats.search_nodes,
+                }
+    return section
+
+
 ARMS = {
     "while": while_arm, "js": js_arm, "c": c_arm, "heap": heap_arm,
-    "rust": rust_arm,
+    "rust": rust_arm, "solver": solver_arm,
 }
 
 
