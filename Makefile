@@ -16,7 +16,7 @@ help:
 	@echo "  bench-solver     solver benchmark + ablation (BENCH_solver.json)"
 	@echo "  bench-strategies strategy benchmark + invariance (BENCH_strategies.json)"
 	@echo "  bench-parallel   parallel-exploration benchmark + determinism (BENCH_parallel.json)"
-	@echo "  bench-interp     compiled-vs-interpreted benchmark (BENCH_interp.json)"
+	@echo "  bench-interp     GIL stepper throughput benchmark (BENCH_interp.json)"
 	@echo "  bench-memory     memory-model action dispatch benchmark (BENCH_memory.json)"
 	@echo "  bench-service    analysis-service burst/replay/crash-storm benchmark (BENCH_service.json)"
 	@echo "  bench-summaries  compositional-execution benchmark + identity grid (BENCH_summaries.json)"

@@ -1,31 +1,25 @@
-"""Interpreter benchmark: compiled step closures vs the tree walker.
+"""Interpreter benchmark: throughput of the GIL stepper on Tables 1/2.
 
 Runs the Table 1 (Buckets-style MiniJS) and Table 2 (Collections-C-style
-MiniC) symbolic-testing workloads through both execution pipelines in
-the same process — the tree-walking interpreter
-(:func:`repro.gil.semantics.step`) and the compiled per-procedure step
-closures (:mod:`repro.gil.compile`) — and reports:
+MiniC) symbolic-testing workloads through the engine's one stepper, the
+tree-walking interpreter (:func:`repro.gil.semantics.step`), and
+reports:
 
-* throughput per arm (paths/sec and commands/sec over engine wall time);
-* the compiled arm's **concrete fast-lane hit rate** (share of executed
-  commands decided by the specialized concrete evaluator, never touching
-  ``logic/``);
-* the compiled-vs-interpreted **speedup**, measured from the same run;
-* a **finals identity check**: both arms must finish the same number of
-  paths on every suite (the full bit-identical multiset comparison lives
-  in the differential fuzz suite; this is the cheap tripwire).
+* throughput (paths/sec and commands/sec over engine wall time), the
+  median over repeats, with every repeat's wall time and the spread;
+* a **repeat identity check**: every repeat must finish the same number
+  of paths and execute the same number of commands on every suite (a
+  cheap determinism tripwire; the bit-exact finals comparisons live in
+  the differential fuzz suites).
 
-Both arms are measured *warm*: a first untimed pass populates the
-per-program compile tables (cached on the ``Prog``) and the simplifier
-memos, so the numbers reflect the steady-state hot path rather than
-one-shot lowering cost.  The arms then alternate per repeat to spread
-machine noise evenly.
+An untimed first pass warms the simplifier memos, so the repeats measure
+the steady state.
 
-Emits ``BENCH_interp.json`` next to the repository root.  ``--smoke``
-runs a reduced workload (first two suites per table, one repeat) and is
-what ``make bench-gate`` / ``make verify`` use; ``--gate`` additionally
-fails the run if smoke throughput regresses below the recorded floor
-(see :data:`SMOKE_PATHS_PER_SEC_FLOOR`).
+A full run writes ``BENCH_interp.json`` next to the repository root.
+``--smoke`` runs a reduced workload (first two suites per table, one
+repeat), prints the same figures and writes nothing; ``make bench-gate``
+/ ``make verify`` use it.  ``--gate`` fails the run if throughput falls
+below :data:`SMOKE_PATHS_PER_SEC_FLOOR`.
 
 Run with::
 
@@ -34,8 +28,8 @@ Run with::
 
 from __future__ import annotations
 
-import json
 import os
+import statistics
 import sys
 from typing import Dict, List
 
@@ -53,12 +47,12 @@ OUT_PATH = os.path.join(
     "BENCH_interp.json",
 )
 
-#: paths/sec the *compiled* arm must sustain on the smoke workload for
-#: ``--gate`` to pass.  Deliberately far below typical throughput
-#: (hundreds of paths/sec on an idle machine): the gate is a tripwire
-#: for order-of-magnitude regressions — an accidentally quadratic hot
-#: path, a disabled cache — not a micro-benchmark; shared CI machines
-#: routinely show 2× wall-clock swings between consecutive runs.
+#: paths/sec the workload must sustain for ``--gate`` to pass.
+#: Deliberately far below typical throughput (hundreds of paths/sec on
+#: an idle machine): the gate is a tripwire for order-of-magnitude
+#: regressions — an accidentally quadratic hot path, a disabled cache —
+#: not a micro-benchmark; shared CI machines routinely show 2×
+#: wall-clock swings between consecutive runs.
 SMOKE_PATHS_PER_SEC_FLOOR = 40.0
 
 FULL_REPEATS = 3
@@ -66,63 +60,29 @@ FULL_REPEATS = 3
 
 def compiled_workloads(smoke: bool) -> List[tuple]:
     """(language, suite name, prog, tests) with each program compiled
-    exactly once — the per-``Prog`` compile tables and the lazy command
-    lowering they hold must persist across arms and repeats for the
-    measurement to see the steady state."""
+    once, outside the timed passes."""
     return [
         (language, name, language.compile(source), tests)
         for language, name, source, tests in workloads(smoke)
     ]
 
 
-def run_arm(compiled: bool, suites: List[tuple]) -> Dict:
-    """One measured pass of every workload suite under one pipeline."""
-    config = gillian(compiled=compiled)
-    agg = {
-        "paths": 0,
-        "commands": 0,
-        "fast_lane_steps": 0,
-        "wall_time": 0.0,
-        "suites": {},
-    }
+def run_pass(suites: List[tuple]) -> Dict:
+    """One pass of every workload suite; engine wall time and counts."""
+    config = gillian()
+    agg = {"paths": 0, "commands": 0, "wall_time": 0.0, "suites": {}}
     for language, name, prog, tests in suites:
         tester = SymbolicTester(language, config=config, replay=False)
-        suite_paths = 0
+        suite = {"paths": 0, "commands": 0}
         for test in tests:
             stats = tester.run_test(prog, test).stats
-            agg["paths"] += stats.paths_finished
-            agg["commands"] += stats.commands_executed
-            agg["fast_lane_steps"] += stats.fast_lane_steps
             agg["wall_time"] += stats.wall_time
-            suite_paths += stats.paths_finished
-        agg["suites"][name] = suite_paths
+            suite["paths"] += stats.paths_finished
+            suite["commands"] += stats.commands_executed
+        agg["paths"] += suite["paths"]
+        agg["commands"] += suite["commands"]
+        agg["suites"][name] = suite
     return agg
-
-
-def merge(runs: List[Dict]) -> Dict:
-    """Fold repeated passes of one arm into a single report block."""
-    total = {
-        "paths": runs[0]["paths"],
-        "commands": runs[0]["commands"],
-        "fast_lane_steps": runs[0]["fast_lane_steps"],
-        "wall_time": sum(r["wall_time"] for r in runs),
-        "repeats": len(runs),
-        "suites": runs[0]["suites"],
-    }
-    elapsed = total["wall_time"] / len(runs)
-    total["paths_per_sec"] = (
-        round(total["paths"] / elapsed, 1) if elapsed else 0.0
-    )
-    total["commands_per_sec"] = (
-        round(total["commands"] / elapsed, 1) if elapsed else 0.0
-    )
-    total["fast_lane_rate"] = (
-        round(total["fast_lane_steps"] / total["commands"], 4)
-        if total["commands"]
-        else 0.0
-    )
-    total["wall_time"] = round(total["wall_time"], 4)
-    return total
 
 
 def main(argv: List[str]) -> int:
@@ -133,61 +93,57 @@ def main(argv: List[str]) -> int:
     print(f"== bench_interp ({mode}) ==")
 
     suites = compiled_workloads(smoke)
-    # Warm both pipelines untimed: populates the per-Prog compile tables
-    # and simplifier memos so the measured passes see the steady state.
-    for compiled in (False, True):
-        run_arm(compiled, suites)
+    run_pass(suites)  # untimed warm-up
+    runs = [run_pass(suites) for _ in range(repeats)]
 
-    runs: Dict[str, List[Dict]] = {"interpreted": [], "compiled": []}
-    for _ in range(repeats):
-        runs["interpreted"].append(run_arm(False, suites))
-        runs["compiled"].append(run_arm(True, suites))
-
-    interp = merge(runs["interpreted"])
-    comp = merge(runs["compiled"])
-    for label, arm in (("interpreted", interp), ("compiled", comp)):
-        print(
-            f"{label:12s} paths/sec={arm['paths_per_sec']:8.1f} "
-            f"commands/sec={arm['commands_per_sec']:10.1f} "
-            f"fast-lane={arm['fast_lane_rate']:.1%}"
-        )
-
-    speedup = (
-        interp["wall_time"] / comp["wall_time"] if comp["wall_time"] else 0.0
-    )
-    identical = interp["suites"] == comp["suites"] and (
-        interp["commands"] == comp["commands"]
+    first = runs[0]
+    identical = all(r["suites"] == first["suites"] for r in runs)
+    walls = [r["wall_time"] for r in runs]
+    wall = statistics.median(walls)
+    paths_per_sec = round(first["paths"] / wall, 1) if wall else 0.0
+    commands_per_sec = round(first["commands"] / wall, 1) if wall else 0.0
+    spread = round((max(walls) - min(walls)) / wall, 4) if wall else 0.0
+    floor_met = paths_per_sec >= SMOKE_PATHS_PER_SEC_FLOOR
+    print(
+        f"paths/sec={paths_per_sec:8.1f} commands/sec={commands_per_sec:10.1f} "
+        f"median wall={wall:.3f}s spread={spread:.1%} over {repeats} repeat(s)"
     )
     if not identical:
-        print("!! compiled arm finished different paths/commands per suite")
-    floor_met = comp["paths_per_sec"] >= SMOKE_PATHS_PER_SEC_FLOOR
-    print(f"compiled-vs-interpreted speedup: {speedup:.2f}x")
+        print("!! repeats finished different paths/commands per suite")
 
-    report = {
-        "benchmark": "bench_interp",
-        "meta": bench_meta(),
-        "mode": mode,
-        "workload": "table1 (MiniJS/Buckets) + table2 (MiniC/Collections)",
-        "interpreted": interp,
-        "compiled": comp,
-        "compiled_speedup": round(speedup, 3),
-        "fast_lane_rate": comp["fast_lane_rate"],
-        "finals_identical": identical,
-        "gate": {
-            "smoke_paths_per_sec_floor": SMOKE_PATHS_PER_SEC_FLOOR,
-            "floor_met": floor_met,
-            "enforced": gate,
-        },
-    }
-    atomic_write_json(OUT_PATH, report, indent=2)
-    print(f"wrote {OUT_PATH}")
+    if not smoke:
+        report = {
+            "benchmark": "bench_interp",
+            "meta": bench_meta(),
+            "mode": mode,
+            "workload": "table1 (MiniJS/Buckets) + table2 (MiniC/Collections)",
+            "paths": first["paths"],
+            "commands": first["commands"],
+            "suites": first["suites"],
+            "repeats": repeats,
+            "wall_time_s": [round(w, 4) for w in walls],
+            "paths_per_sec": paths_per_sec,
+            "commands_per_sec": commands_per_sec,
+            "spread": spread,
+            "repeats_identical": identical,
+            "gate": {
+                "smoke_paths_per_sec_floor": SMOKE_PATHS_PER_SEC_FLOOR,
+                "floor_met": floor_met,
+            },
+            "acceptance": {
+                "target": "identical paths/commands per suite on every "
+                f"repeat; >= {SMOKE_PATHS_PER_SEC_FLOOR:.0f} paths/sec",
+                "passed": identical and floor_met,
+            },
+        }
+        atomic_write_json(OUT_PATH, report, indent=2)
+        print(f"wrote {OUT_PATH}")
     if not identical:
         return 1
     if gate and not floor_met:
         print(
-            f"bench-gate: compiled smoke throughput "
-            f"{comp['paths_per_sec']:.1f} paths/sec is below the recorded "
-            f"floor {SMOKE_PATHS_PER_SEC_FLOOR:.1f}"
+            f"bench-gate: throughput {paths_per_sec:.1f} paths/sec is below "
+            f"the recorded floor {SMOKE_PATHS_PER_SEC_FLOOR:.1f}"
         )
         return 1
     return 0

@@ -212,10 +212,8 @@ def measure_metrics_overhead(
     *enabled* path: the acceptance target is that full metrics collection
     stays within ``gate_pct`` of a metrics-free run.  The arms alternate
     so ambient load drifts bias both equally.  Note the percentage moves
-    whenever the metrics-free baseline does: the compiled step pipeline
-    made engine steps substantially cheaper, so the same absolute
-    per-event cost now reads as a low-teens percentage rather than the
-    original ~5%.
+    whenever the metrics-free baseline does: cheaper engine steps make
+    the same absolute per-event cost read as a larger percentage.
     """
     import gc
 
@@ -307,11 +305,11 @@ def main(argv: List[str]) -> int:
     # Live metrics collection on the symbolic workload: smoke runs are
     # short enough that a few percent of noise is irreducible, so the
     # smoke gate is looser — mirroring the bus-overhead gate's argument.
-    # Both gates were recalibrated when the compiled step pipeline and
-    # GC batching landed: the absolute cost of folding an event stream
-    # is unchanged, but the metrics-free baseline it is compared against
-    # got ~25% faster, which mechanically inflates the ratio (measured
-    # ~13% full, ~8-12% smoke).  The regression these gates protect
+    # Both gates were recalibrated when a (since removed) compiled step
+    # pipeline and GC batching landed: the absolute cost of folding an
+    # event stream is unchanged, but the metrics-free baseline it is
+    # compared against got ~25% faster, which mechanically inflates the
+    # ratio (measured ~13% full, ~8-12% smoke).  The regression these gates protect
     # against — an emission guard accidentally running with no
     # subscribers, or per-event allocation on the no-bus path — costs
     # ~30%+, still far above the threshold.  Measured overhead swings

@@ -16,11 +16,11 @@ MiniC) symbolic-testing workloads through the summary engine
   summarisation cost (``summary_build_commands``); the second pass must
   replay everything from the process-wide cache with **zero** build
   commands;
-* a **correctness grid** — compiled/interpreted × summaries-on/off ×
-  workers 1/2/4 must agree on the per-test multiset of final outcomes
-  (digested via :func:`repro.engine.results.final_sort_key`).  The grid
-  runs on the smoke subset (the full-suite identity is additionally
-  checked for the sequential arms in full mode);
+* a **correctness grid** — summaries-on/off × workers 1/2/4 must agree
+  on the per-test multiset of final outcomes (digested via
+  :func:`repro.engine.results.final_sort_key`).  The grid runs on the
+  smoke subset (the full-suite identity is additionally checked
+  sequentially in full mode);
 * an **incorrectness section** — :func:`repro.specs.find_bugs` hunts
   the first suite of each table with under-approximate summaries; every
   reported bug must be confirmed true-positive by concrete
@@ -155,7 +155,7 @@ def measure_tables(suites: List[tuple]) -> Tuple[Dict, bool]:
     """off/cold/warm command counts per suite, aggregated per table.
 
     The summaries-off and warm digests must agree per test (the finals
-    identity for the sequential compiled arm over the *whole* workload,
+    identity for the sequential run over the *whole* workload,
     not just the grid subset).
     """
     per_suite: Dict[str, Dict] = {}
@@ -210,24 +210,19 @@ def measure_tables(suites: List[tuple]) -> Tuple[Dict, bool]:
 
 
 def digest_grid(suites: List[tuple]) -> Tuple[Dict, bool]:
-    """Finals identity across compiled/interpreted × summaries × workers.
+    """Finals identity across summaries on/off × workers 1/2/4.
 
     Every arm runs the same workload; the per-test digests must be one
-    multiset, whatever the pipeline, cache state, or worker count.
+    multiset, whatever the cache state or worker count.
     """
     arms = []
     reference = None
     identical = True
-    for compiled, summaries, workers in itertools.product(
-        (True, False), (True, False), (1, 2, 4)
-    ):
+    for summaries, workers in itertools.product((True, False), (1, 2, 4)):
         clear_summary_cache()
-        config = gillian(summaries=summaries, compiled=compiled)
+        config = gillian(summaries=summaries)
         digests, _ = run_pass(suites, config, workers=workers)
-        label = (
-            f"{'compiled' if compiled else 'interp'}/"
-            f"summaries={'on' if summaries else 'off'}/workers={workers}"
-        )
+        label = f"summaries={'on' if summaries else 'off'}/workers={workers}"
         if reference is None:
             reference = digests
         elif digests != reference:
@@ -324,8 +319,8 @@ def main(argv: List[str]) -> int:
             "acceptance": {
                 "target": (
                     f"call-site reduction >= {floor}x per table; identical "
-                    f"finals digests across compiled/interpreted x "
-                    f"summaries-on/off x workers 1/2/4; every "
+                    f"finals digests across summaries-on/off x "
+                    f"workers 1/2/4; every "
                     f"incorrectness bug confirmed by concrete replay"
                 ),
                 "passed": passed,

@@ -43,12 +43,6 @@ class EngineConfig:
     #: solver contexts, delta-only normalization, parent-model reuse); off
     #: means every query re-solves the whole conjunction monolithically
     solver_incremental: bool = True
-    #: drive execution through the compiled per-procedure step closures
-    #: (:mod:`repro.gil.compile`) when the state model supports them; off
-    #: forces the tree-walking interpreter everywhere.  Results are
-    #: bit-identical either way (the differential fuzz suite asserts it);
-    #: the flag exists for ablation and as the interpreter's oracle switch
-    compiled: bool = True
     #: gen-0 garbage-collector threshold while a drive loop runs (0:
     #: leave the collector alone).  Path exploration allocates short-lived
     #: states, configs, and expression nodes at a rate that makes the

@@ -19,16 +19,13 @@ The driver is a thin scheduler composed from three pluggable layers:
   from the attached solver); when absent or subscriber-less the loop
   pays one falsy check per step.
 
-Stepping goes through the compiled pipeline (:mod:`repro.gil.compile`)
-whenever ``config.compiled`` is on and the state model is one the
-compiler covers; anything else — custom state models, the ablation
-configuration — falls back to the tree-walking interpreter
-:func:`repro.gil.semantics.step`, which doubles as the differential
-oracle for the compiled path.  The scheduler also takes a private fast
-path of its own: under plain DFS, a step with a single successor and no
-finals continues inline instead of round-tripping through the worklist
-(push/pop order, budget decisions, and eviction victims are unchanged —
-the successor would have been the next pop anyway).
+Every step goes through the tree-walking interpreter
+:func:`repro.gil.semantics.step`, the engine's one stepper, for every
+state model.  The scheduler takes one private fast path of its own:
+under plain DFS, a step with a single successor and no finals continues
+inline instead of round-tripping through the worklist (push/pop order,
+budget decisions, and eviction victims are unchanged — the successor
+would have been the next pop anyway).
 
 The same scheduler drives concrete execution — a concrete state model
 simply never branches — which is what the differential conformance tests
@@ -147,41 +144,27 @@ class Explorer:
         # plan with no fault for (fault_worker, fault_attempt) resolves
         # to None and the loop pays nothing.
         self.faults = None
-        plan = getattr(self.config, "fault_plan", None)
+        plan = self.config.fault_plan
         if plan is not None:
             from repro.testing.faults import install_faults
 
             injector = plan.injector(
-                getattr(self.config, "fault_worker", None),
-                getattr(self.config, "fault_attempt", 0),
+                self.config.fault_worker, self.config.fault_attempt
             )
             if injector is not None:
                 install_faults(self.sm, injector)
                 self.faults = injector
-        # Lower the program to pre-resolved step closures when the config
-        # asks for it and the state model is one the compiler covers
-        # (fault installation above happens first: compiled closures bind
-        # state-model methods, which read the injected hooks dynamically).
-        self._compiled = None
-        if getattr(self.config, "compiled", True):
-            from repro.gil.compile import compile_prog, supports
-
-            if supports(self.sm):
-                self._compiled = compile_prog(prog, self.sm)
         # Compositional execution: a summary engine intercepts Call
-        # commands in both arms (interpreter parameter / compiled
-        # attachment).  Never constructed alongside a fault injector —
-        # an injected fault could be recorded into a summary and then
-        # replayed everywhere.
+        # commands (the interpreter's ``summaries`` parameter).  Never
+        # constructed alongside a fault injector — an injected fault
+        # could be recorded into a summary and then replayed everywhere.
         self._summaries = None
-        if getattr(self.config, "summaries", False) and self.faults is None:
+        if self.config.summaries and self.faults is None:
             from repro.specs.engine import make_summary_engine
 
             self._summaries = make_summary_engine(
                 prog, self.sm, self.config, events=events
             )
-            if self._summaries is not None and self._compiled is not None:
-                self._compiled.attach_summaries(self._summaries)
 
     def run(
         self,
@@ -226,14 +209,8 @@ class Explorer:
         bus = self.events  # truthy only when subscribers are attached
         prog = self.prog
         sm = self.sm
-        solver_stats = getattr(getattr(sm, "solver", None), "stats", None)
-        degradation = getattr(sm, "degradation", None)
         faults = self.faults
-        compiled = self._compiled
-        compiled_step = compiled.step if compiled is not None else None
         summaries = self._summaries
-        sum_counters = summaries.counters if summaries is not None else None
-        fast0 = compiled.fast_steps if compiled is not None else 0
         checkpoint = self.checkpoint
         ck_every = getattr(checkpoint, "interval", 0) if checkpoint is not None else 0
         ck_next = ck_every  # first snapshot after ``interval`` commands
@@ -248,23 +225,34 @@ class Explorer:
         items: List[tuple] = []
         stop: Optional[StopReason] = None
         item: Optional[tuple] = None
-        # Solver work and unknown-policy degradations are attributed to
-        # this drive as one start/end delta: the counters are additive,
-        # so folding them once at loop exit equals folding them per step,
-        # at none of the per-step snapshot cost.  The ``finally`` makes
-        # the flush cover every exit, including UnknownAbort.
-        ss = solver_stats
-        if ss is not None:
-            s0 = (
-                ss.queries, ss.cache_hits, ss.prefix_hits,
-                ss.model_reuse_hits, ss.solve_time, ss.timeouts,
-                ss.split_time, ss.propagation_time, ss.search_time,
-            )
-        if degradation is not None:
-            d0p = degradation.unknown_pruned
-            d0a = degradation.unknown_assumed
-        if sum_counters is not None:
-            sc0 = sum_counters.snapshot()
+        # Solver work, unknown-policy degradations and summary activity
+        # are attributed to this drive as start/end deltas: the counters
+        # are additive, so folding them at the checkpoints and once at
+        # loop exit equals folding them per step, at none of the per-step
+        # snapshot cost.  Each fold resets its baselines, so the folds
+        # together count everything exactly once; the ``finally`` makes
+        # the last one cover every exit, including UnknownAbort.
+        solver_stats = getattr(getattr(sm, "solver", None), "stats", None)
+        degradation = getattr(sm, "degradation", None)
+        sum_counters = summaries.counters if summaries is not None else None
+        s0 = solver_stats.snapshot() if solver_stats is not None else None
+        d0 = degradation.snapshot() if degradation is not None else None
+        c0 = sum_counters.snapshot() if sum_counters is not None else None
+
+        def fold() -> None:
+            nonlocal s0, d0, c0
+            if s0 is not None:
+                stats.add_solver_delta(solver_stats.delta(s0))
+                s0 = solver_stats.snapshot()
+            if d0 is not None:
+                d1 = degradation.snapshot()
+                stats.add_degradation_delta(d1[0] - d0[0], d1[1] - d0[1])
+                d0 = d1
+            if c0 is not None:
+                c1 = sum_counters.snapshot()
+                stats.add_summary_delta(*(a - b for a, b in zip(c1, c0)))
+                c0 = c1
+
         try:
             while True:
                 if item is None:
@@ -300,34 +288,11 @@ class Explorer:
                     # Snapshot at the decide() boundary: the popped item
                     # leads the frontier (its step has not run yet), and
                     # every externally-held counter delta is folded into
-                    # ``stats`` first — with baselines reset so the
-                    # ``finally`` fold below stays exact — making the
-                    # snapshot self-contained: resume = frontier + finals
-                    # + stats, nothing double-counted.
+                    # ``stats`` first, making the snapshot self-contained:
+                    # resume = frontier + finals + stats, nothing
+                    # double-counted.
                     ck_next = stats.commands_executed + ck_every
-                    if compiled is not None:
-                        stats.fast_lane_steps += compiled.fast_steps - fast0
-                        fast0 = compiled.fast_steps
-                    if ss is not None:
-                        self._flush_solver(stats, ss, s0)
-                        s0 = (
-                            ss.queries, ss.cache_hits, ss.prefix_hits,
-                            ss.model_reuse_hits, ss.solve_time, ss.timeouts,
-                            ss.split_time, ss.propagation_time, ss.search_time,
-                        )
-                    if degradation is not None:
-                        d1p = degradation.unknown_pruned
-                        d1a = degradation.unknown_assumed
-                        if d1p != d0p or d1a != d0a:
-                            stats.add_degradation_delta(d1p - d0p, d1a - d0a)
-                            d0p, d0a = d1p, d1a
-                    if sum_counters is not None:
-                        sc1 = sum_counters.snapshot()
-                        if sc1 != sc0:
-                            stats.add_summary_delta(
-                                *(a - b for a, b in zip(sc1, sc0))
-                            )
-                            sc0 = sc1
+                    fold()
                     checkpoint.save(
                         ((cfg, depth),) + strategy.snapshot(), finals, stats
                     )
@@ -335,10 +300,7 @@ class Explorer:
                 if faults is not None:
                     faults.on_step()
                 try:
-                    if compiled_step is not None:
-                        successors, finished = compiled_step(cfg)
-                    else:
-                        successors, finished = step(prog, sm, cfg, summaries)
+                    successors, finished = step(prog, sm, cfg, summaries)
                 except UnknownAbort:
                     stats.commands_executed += 1
                     stats.paths_dropped += 1 + len(strategy)
@@ -372,47 +334,8 @@ class Explorer:
                 for succ in successors:
                     strategy.push((succ, depth + 1))
         finally:
-            if compiled is not None:
-                stats.fast_lane_steps += compiled.fast_steps - fast0
-            if ss is not None:
-                self._flush_solver(stats, ss, s0)
-            if degradation is not None:
-                d1p = degradation.unknown_pruned
-                d1a = degradation.unknown_assumed
-                if d1p != d0p or d1a != d0a:
-                    stats.add_degradation_delta(d1p - d0p, d1a - d0a)
-            if sum_counters is not None:
-                sc1 = sum_counters.snapshot()
-                if sc1 != sc0:
-                    stats.add_summary_delta(*(a - b for a, b in zip(sc1, sc0)))
+            fold()
         return items, stop
-
-    @staticmethod
-    def _flush_solver(stats: ExecutionStats, ss, s0) -> None:
-        """Fold the solver-counter movement since ``s0`` into ``stats``
-        (the raw-tuple equivalent of ``add_solver_delta``)."""
-        s1 = (
-            ss.queries, ss.cache_hits, ss.prefix_hits,
-            ss.model_reuse_hits, ss.solve_time, ss.timeouts,
-            ss.split_time, ss.propagation_time, ss.search_time,
-        )
-        if s1 == s0:
-            return
-        stats.solver_queries += s1[0] - s0[0]
-        stats.solver_cache_hits += s1[1] - s0[1]
-        stats.solver_prefix_hits += s1[2] - s0[2]
-        stats.solver_model_reuse += s1[3] - s0[3]
-        stats.solver_time += s1[4] - s0[4]
-        stats.incompleteness.solver_timeouts += s1[5] - s0[5]
-        for name, seconds in (
-            ("solver/split", s1[6] - s0[6]),
-            ("solver/propagation", s1[7] - s0[7]),
-            ("solver/search", s1[8] - s0[8]),
-        ):
-            if seconds:
-                stats.phase_times[name] = (
-                    stats.phase_times.get(name, 0.0) + seconds
-                )
 
     def explore(
         self,
@@ -442,7 +365,7 @@ class Explorer:
         try:
             for i, cfg in enumerate(configs):
                 strategy.push((cfg, depths[i] if depths is not None else 0))
-            with _batched_gc(getattr(self.config, "gc_batch", 0)):
+            with _batched_gc(self.config.gc_batch):
                 _, stop = self._drive(strategy, stats, finals, start, None)
             stats.stop_reason = (stop or StopReason.EXHAUSTED).value
         finally:
@@ -492,7 +415,7 @@ class Explorer:
         try:
             for cfg in configs:
                 strategy.push((cfg, 0))
-            with _batched_gc(getattr(self.config, "gc_batch", 0)):
+            with _batched_gc(self.config.gc_batch):
                 items, stop = self._drive(
                     strategy, stats, finals, start, target
                 )

@@ -162,10 +162,9 @@ class ExecutionStats:
     """Counters for one engine run; the benchmark tables report these."""
 
     commands_executed: int = 0
-    #: commands that executed through the compiled concrete fast lane
-    #: (every program variable the command reads holds a literal; see
-    #: :mod:`repro.gil.compile`) — a subset of ``commands_executed``.
-    #: Zero under the tree-walking interpreter
+    #: always 0: the engine has one stepper and no fast lane.  Kept only
+    #: because the verdict-level benchmark (``perfbench/sweep.py``) reads
+    #: this ``to_dict()`` key; the next change to the benchmark drops it
     fast_lane_steps: int = 0
     paths_finished: int = 0
     paths_vanished: int = 0

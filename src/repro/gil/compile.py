@@ -1,1026 +1,19 @@
-"""Compilation of GIL procedures to pre-resolved step closures.
+"""Placeholder left by the removed compiled GIL pipeline.
 
-The tree-walking interpreter in :mod:`repro.gil.semantics` re-discovers
-the same facts on every step: which command class sits at an index (an
-``isinstance`` chain), which procedure a static callee names, and the
-shape of every expression it evaluates.  This module lowers each
-:class:`~repro.gil.syntax.Proc` once into an array of step closures —
-one per command — with all of that resolved at compile time:
-
-* command-kind dispatch becomes an array index (no ``isinstance`` chain);
-* ``goto``/``if-goto`` targets and fall-through indices are baked into
-  the closures as integers;
-* static callees (``Lit`` string callee expressions) are resolved to
-  their procedure, parameter list, and even their arity/unknown-procedure
-  error messages at compile time;
-* expression trees are lowered to evaluator closures: under a
-  :class:`~repro.state.symbolic.SymbolicStateModel` they build the
-  substituted-and-simplified expression bottom-up by applying the
-  simplifier's node rules over already-simplified store values (store
-  values are read through ``Simplifier.simplify``, a memoised O(1) hit,
-  so the result is bit-identical to ``simplify(substitute_pvars(e, ρ))``
-  without re-walking the whole substituted tree); under a
-  :class:`~repro.state.concrete.ConcreteStateModel` they mirror
-  :func:`repro.gil.ops.evaluate` exactly, including short-circuit
-  evaluation and error messages.
-
-Compiled closures are **shared across state-model instances**.  The test
-harness builds a fresh state model (fresh solver, fresh allocator) per
-symbolic test over the same program, so per-instance compilation would
-dominate short tests.  Instead each program carries a per-mode table of
-compiled commands (cached on the ``Prog`` object, excluded from
-pickling); commands whose semantics touch only the *state* — assignment,
-goto, call, return, fail — compile to instance-independent closures
-built over ``SymbolicState.bind``/``with_store`` (which is what the two
-stock state models' ``set_var``/``set_store`` do), while the four
-commands that genuinely need the model — ``ifgoto`` (``branch_on``),
-action calls, ``uSym``/``iSym`` (the allocator) — compile to *binders*
-that a per-instance :class:`CompiledProg` resolves with one closure
-creation each.  Symbolic expression closures evaluate through a shared
-:class:`~repro.logic.simplify.Simplifier` (one per ``(enabled,
-memoise)`` flavour): simplification is pure, so sharing the memo between
-instances changes no result.
-
-A **concrete fast lane** rides on top for symbolic execution: a command
-whose operand program variables are all bound to literals is, for that
-step, concrete — it can execute through a specialized concrete evaluator
-that never touches :mod:`repro.logic` (no expression interning, no
-path-condition chaining, no solver contexts), even on a path whose
-condition is non-empty, because the commands the lane covers never
-consult π and every constructor it uses carries π through unchanged.  A
-compile-time gate (:func:`_fast_gate`) probes exactly the store entries
-each command reads and bails to the slow lane on the first non-literal;
-fast-lane closures additionally bail (returning None) whenever concrete
-evaluation raises :class:`~repro.gil.ops.EvalError`, because the
-symbolic evaluator would *not* error there (it leaves the expression
-stuck).  The driver then re-runs the command through the slow closure,
-so results stay bit-identical to the interpreter in every case.
-
-The compiled pipeline is behaviour-preserving by construction: the fuzz
-suite (``tests/engine/test_fuzz_differential.py``) runs every seeded
-program under both pipelines and asserts identical finals and stats, and
-``semantics.step`` stays in the tree as the differential oracle.
+GIL programs run through one stepper, :func:`repro.gil.semantics.step`.
+This module remains only because the verdict-level benchmark's layer
+tracer (``perfbench/spans.py``) imports :class:`CompiledProg` and wraps
+its ``step``; the next change to the benchmark drops that import, and
+this module with it.
 """
 
-from __future__ import annotations
-
-from types import MappingProxyType
-from typing import Callable, Dict, List, Optional, Tuple
-
-from repro.gil.ops import EvalError, apply_binop, apply_unop
-from repro.gil.semantics import (
-    Config,
-    Final,
-    GilRuntimeError,
-    InnerFrame,
-    OutcomeKind,
-    TopFrame,
-    _resolve_proc_name,
-)
-from repro.gil.syntax import (
-    ActionCall,
-    Assignment,
-    Call,
-    Fail,
-    Goto,
-    IfGoto,
-    ISym,
-    Prog,
-    Return,
-    USym,
-    Vanish,
-)
-from repro.logic.expr import (
-    BinOp,
-    BinOpExpr,
-    EList,
-    Expr,
-    Lit,
-    LVar,
-    PVar,
-    UnOpExpr,
-    walk,
-)
-from repro.state.interface import StateErr, StateOk
-
-_ERROR = OutcomeKind.ERROR
-_NORMAL = OutcomeKind.NORMAL
-_VANISH = OutcomeKind.VANISH
-
-#: shared empty successor/final containers (closures never mutate them)
-_NO_CONFIGS: tuple = ()
-_NO_FINALS: tuple = ()
-
-#: attribute on ``Prog`` holding the per-mode shared tables (set lazily;
-#: ``Prog.__reduce__`` keeps it off the pickle wire)
-_TABLE_ATTR = "_compiled_tables"
-
-
-class _NotConcrete(Exception):
-    """A fast-lane evaluation met something only the symbolic evaluator
-    handles (a logical variable, or an operator application the
-    simplifier would leave stuck instead of raising)."""
-
-
-#: exceptions on which a fast-lane closure abandons the concrete attempt
-_BAIL = (EvalError, _NotConcrete)
-
-
-def _has_pvar(e: Expr) -> bool:
-    return any(type(n) is PVar for n in walk(e))
-
-
-def _fast_gate(exprs, closure):
-    """Wrap a fast-lane closure with a cheap compile-time-derived guard.
-
-    The closure itself bails on a non-literal operand by raising through
-    ``read_lit`` — correct, but a Python exception per bail is costly on
-    symbolic-heavy paths where most steps bail.  The operand program
-    variables are known at compile time, so probe them in the store
-    first and return None (bail) without entering the closure.  An
-    expression containing a logical variable can never evaluate
-    concretely, so its command gets no fast lane at all; an unbound or
-    non-literal variable bails exactly where the in-closure ``EvalError``
-    / ``_NotConcrete`` raise would have.
-    """
-    names: list = []
-    seen: set = set()
-    for e in exprs:
-        if not isinstance(e, Expr):
-            return None
-        for node in walk(e):
-            if type(node) is LVar:
-                return None
-            if type(node) is PVar and node.name not in seen:
-                seen.add(node.name)
-                names.append(node.name)
-    if not names:
-        return closure
-    if len(names) == 1:
-        name = names[0]
-
-        def gated1(state, stack):
-            if type(state.store.get(name)) is not Lit:
-                return None
-            return closure(state, stack)
-
-        return gated1
-    name_tuple = tuple(names)
-
-    def gated(state, stack):
-        store = state.store
-        for n in name_tuple:
-            if type(store.get(n)) is not Lit:
-                return None
-        return closure(state, stack)
-
-    return gated
-
-
-# ---------------------------------------------------------------------------
-# shared simplifiers
-# ---------------------------------------------------------------------------
-
-def _shared_simplifier(enabled: bool, memoise: bool):
-    """The process-wide simplifier for one ``(enabled, memoise)`` flavour.
-
-    Simplification is pure, so evaluating through a shared instance (and
-    sharing its memo across state models) yields bit-identical
-    expressions to each model's own simplifier while letting compiled
-    expression closures be compiled once per program.
-    """
-    from repro.logic.simplify import shared_simplifier
-
-    return shared_simplifier(enabled, memoise)
-
-
-# ---------------------------------------------------------------------------
-# expression lowering
-# ---------------------------------------------------------------------------
-
-def compile_symbolic_expr(e: Expr, simplifier) -> Callable:
-    """Lower ``e`` to ``closure(store) -> Expr`` equal to
-    ``simplifier.simplify(substitute_pvars(e, store))``.
-
-    Correctness rests on two facts: hash-consing makes substitution the
-    identity on PVar-free subtrees, and the simplifier is compositional —
-    ``simplify`` of a node is its node rule applied to its simplified
-    children.  Store values are therefore read through ``simplify``
-    (memoised: O(1) after first sight), and each constructed node goes
-    through the same node rule the recursive walk would apply.
-    """
-    if not simplifier.enabled:
-        return _compile_subst_expr(e)
-    closure, _has = _compile_sym(e, simplifier)
-    return closure
-
-
-def _fold_const(e: Expr, simplifier) -> Callable:
-    """Fold a PVar-free subtree at compile time.  A malformed node must
-    keep failing lazily (the interpreter only raises when the command
-    actually executes), hence the guard."""
-    try:
-        value = simplifier.simplify(e)
-    except TypeError as exc:
-        return _raiser(TypeError(str(exc)))
-    return lambda store: value
-
-
-def _compile_sym(e: Expr, simplifier) -> Tuple[Callable, bool]:
-    """(closure, subtree-reads-a-PVar), computed in one bottom-up pass
-    (checking ``_has_pvar`` per recursion level would be quadratic)."""
-    kind = type(e)
-    if kind is PVar:
-        name = e.name
-        simplify = simplifier.simplify
-        return (lambda store: simplify(store[name])), True
-    if kind is UnOpExpr:
-        operand, has = _compile_sym(e.operand, simplifier)
-        if not has:
-            return _fold_const(e, simplifier), False
-        op = e.op
-        node = simplifier._simplify_unop
-        return (lambda store: node(op, operand(store))), True
-    if kind is BinOpExpr:
-        left, has_l = _compile_sym(e.left, simplifier)
-        right, has_r = _compile_sym(e.right, simplifier)
-        if not (has_l or has_r):
-            return _fold_const(e, simplifier), False
-        op = e.op
-        node = simplifier._simplify_binop
-        return (lambda store: node(op, left(store), right(store))), True
-    if kind is EList:
-        pairs = [_compile_sym(item, simplifier) for item in e.items]
-        if not any(has for _f, has in pairs):
-            return _fold_const(e, simplifier), False
-        items = [f for f, _has in pairs]
-
-        def run_elist(store):
-            vs = tuple(f(store) for f in items)
-            for v in vs:
-                if type(v) is not Lit:
-                    return EList(vs)
-            return Lit(tuple(v.value for v in vs))
-
-        return run_elist, True
-    if kind is Lit or kind is LVar:
-        return _fold_const(e, simplifier), False
-    return _raiser(TypeError(f"not an expression: {e!r}")), True
-
-
-def memoise_symbolic_expr(e: Expr, closure: Callable) -> Callable:
-    """Memoise a symbolic expression closure on the store values it reads.
-
-    Sibling paths re-evaluate the same command expressions over stores
-    that differ only in unrelated variables; keying the result on exactly
-    the values the expression reads makes every such re-evaluation one
-    dict probe.  Keys are interned-node *identities* (hash-consing makes
-    equal store values the same object, and the intern tables keep them
-    alive forever, so ``id`` is stable) — structural equality would be
-    wrong here because ``Lit(1) == Lit(1.0)`` while simplification may
-    distinguish them.  Unbound variables raise the same ``KeyError`` the
-    substitution walk raises, on the same first missing name.
-    """
-    names: List[str] = []
-    seen: set = set()
-    for n in walk(e):
-        if type(n) is PVar and n.name not in seen:
-            seen.add(n.name)
-            names.append(n.name)
-    if not names:
-        return closure
-    cache: dict = {}
-    if len(names) == 1:
-        name = names[0]
-
-        def run_memo1(store):
-            key = id(store[name])
-            found = cache.get(key)
-            if found is None:
-                found = cache[key] = closure(store)
-            return found
-
-        return run_memo1
-
-    def run_memo(store):
-        key = tuple(id(store[name]) for name in names)
-        found = cache.get(key)
-        if found is None:
-            found = cache[key] = closure(store)
-        return found
-
-    return run_memo
-
-
-def _compile_subst_expr(e: Expr) -> Callable:
-    """Substitution only (simplifier disabled): closure equal to
-    ``substitute_pvars(e, store)``."""
-    kind = type(e)
-    if kind is PVar:
-        name = e.name
-        return lambda store: store[name]
-    if kind is Lit or kind is LVar:
-        return lambda store: e
-    if kind is UnOpExpr:
-        op = e.op
-        operand = _compile_subst_expr(e.operand)
-        return lambda store: UnOpExpr(op, operand(store))
-    if kind is BinOpExpr:
-        op = e.op
-        left = _compile_subst_expr(e.left)
-        right = _compile_subst_expr(e.right)
-        return lambda store: BinOpExpr(op, left(store), right(store))
-    if kind is EList:
-        items = [_compile_subst_expr(item) for item in e.items]
-        return lambda store: EList(tuple(f(store) for f in items))
-    return _raiser(TypeError(f"not an expression: {e!r}"))
-
-
-def compile_concrete_expr(e: Expr, unwrap: bool) -> Callable:
-    """Lower ``e`` to ``closure(store) -> Value`` mirroring
-    :func:`repro.gil.ops.evaluate` exactly — same evaluation order, same
-    short-circuiting, same error messages.
-
-    ``unwrap=False`` targets a concrete store (values held raw);
-    ``unwrap=True`` targets the fast lane over a symbolic store whose
-    values are all ``Lit`` (read ``.value``, and treat logical variables
-    as a bail-out instead of an unbound-variable error).
-    """
-    kind = type(e)
-    if kind is Lit:
-        value = e.value
-        return lambda store: value
-    if kind is PVar:
-        name = e.name
-        if unwrap:
-            def read_lit(store):
-                v = store[name]
-                if type(v) is not Lit:
-                    raise _NotConcrete(name)
-                return v.value
-            return read_lit
-
-        def read(store):
-            try:
-                return store[name]
-            except KeyError:
-                raise EvalError(
-                    f"unbound program variable {name}"
-                ) from None
-        return read
-    if kind is LVar:
-        if unwrap:
-            return _raiser(_NotConcrete(e.name))
-        return _raiser(EvalError(f"unbound logical variable #{e.name}"))
-    if kind is UnOpExpr:
-        op = e.op
-        operand = compile_concrete_expr(e.operand, unwrap)
-        return lambda store: apply_unop(op, operand(store))
-    if kind is BinOpExpr:
-        op = e.op
-        left = compile_concrete_expr(e.left, unwrap)
-        right = compile_concrete_expr(e.right, unwrap)
-        if op is BinOp.AND:
-            def run_and(store):
-                lv = left(store)
-                if lv is False:
-                    return False
-                return apply_binop(BinOp.AND, lv, right(store))
-            return run_and
-        if op is BinOp.OR:
-            def run_or(store):
-                lv = left(store)
-                if lv is True:
-                    return True
-                return apply_binop(BinOp.OR, lv, right(store))
-            return run_or
-        return lambda store: apply_binop(op, left(store), right(store))
-    if kind is EList:
-        items = [compile_concrete_expr(item, unwrap) for item in e.items]
-        return lambda store: tuple(f(store) for f in items)
-    return _raiser(EvalError(f"not an expression: {e!r}"))
-
-
-def _raiser(exc: Exception) -> Callable:
-    def run(store):
-        raise exc
-    return run
-
-
-# ---------------------------------------------------------------------------
-# command lowering (shared layer)
-# ---------------------------------------------------------------------------
-
-#: a compiled command: exactly one of ``slow`` (instance-independent
-#: closure) / ``binder`` (``binder(sm) -> closure``) is set, plus an
-#: optional fast-lane closure (always instance-independent)
-_Entry = Tuple[Optional[Callable], Optional[Callable], Optional[Callable]]
-
-
-class _ProcCompiler:
-    """Lowers one program's commands for one execution mode.
-
-    ``symbolic`` selects the expression compilers and the state
-    constructor; ``simplifier`` is the shared flavour-matched simplifier
-    (None in concrete mode).  The compiler itself holds no state-model
-    reference — everything instance-specific is deferred to binders.
-    """
-
-    def __init__(self, prog: Prog, symbolic: bool, simplifier) -> None:
-        self.prog = prog
-        self.symbolic = symbolic
-        self.simplifier = simplifier
-        if symbolic:
-            from repro.state.symbolic import SymbolicState
-
-            def rebuild(state, store_dict):
-                return SymbolicState(
-                    state.memory,
-                    MappingProxyType(store_dict),
-                    state.alloc,
-                    state.pc,
-                )
-        else:
-            from repro.state.concrete import ConcreteState
-
-            def rebuild(state, store_dict):
-                return ConcreteState(
-                    state.memory, MappingProxyType(store_dict), state.alloc
-                )
-
-        # state.with_store minus one defensive dict copy (callers below
-        # always hand over a fresh private dict)
-        self._set_store = rebuild
-
-    def _ev(self, e):
-        """The slow-lane evaluator closure for ``e`` (mode-appropriate)."""
-        if not isinstance(e, Expr):
-            # semantics would hand this to eval_expr and fail there; keep
-            # the failure shape (TypeError for the symbolic walker,
-            # EvalError for the concrete one) at evaluation time.
-            if self.symbolic:
-                return _raiser(TypeError(f"not an expression: {e!r}"))
-            return _raiser(EvalError(f"not an expression: {e!r}"))
-        if self.symbolic:
-            closure = compile_symbolic_expr(e, self.simplifier)
-            if self.simplifier.memoise:
-                closure = memoise_symbolic_expr(e, closure)
-            return closure
-        return compile_concrete_expr(e, unwrap=False)
-
-    def _fast_ev(self, e):
-        """The fast-lane evaluator (symbolic stores of literals)."""
-        if not isinstance(e, Expr):
-            return _raiser(_NotConcrete(repr(e)))
-        return compile_concrete_expr(e, unwrap=True)
-
-    def compile_proc(self, name: str) -> List[_Entry]:
-        proc = self.prog.get(name)
-        if proc is None:
-            raise GilRuntimeError(f"unknown procedure {name!r}")
-        return [
-            self.compile_command(cmd, idx) for idx, cmd in enumerate(proc.body)
-        ]
-
-    # -- per-command lowering -----------------------------------------------
-
-    def compile_command(self, cmd, idx: int) -> _Entry:
-        kind = type(cmd)
-        nxt = idx + 1
-
-        if kind is Assignment:
-            ev = self._ev(cmd.expr)
-            target = cmd.target
-
-            def slow_assign(state, stack):
-                return (
-                    (Config(state.bind(target, ev(state.store)), stack, nxt),),
-                    _NO_FINALS,
-                )
-
-            fast = None
-            if self.symbolic:
-                fev = self._fast_ev(cmd.expr)
-
-                def fast_assign(state, stack):
-                    try:
-                        v = fev(state.store)
-                    except _BAIL:
-                        return None
-                    return (
-                        (Config(state.bind(target, Lit(v)), stack, nxt),),
-                        _NO_FINALS,
-                    )
-
-                fast = _fast_gate((cmd.expr,), fast_assign)
-            return slow_assign, None, fast
-
-        if kind is Goto:
-            target = cmd.target
-
-            def slow_goto(state, stack):
-                return (Config(state, stack, target),), _NO_FINALS
-
-            return slow_goto, None, None
-
-        if kind is IfGoto:
-            ev = self._ev(cmd.condition)
-            target = cmd.target
-
-            def bind_ifgoto(sm):
-                branch_on = sm.branch_on
-
-                def slow_ifgoto(state, stack):
-                    configs = []
-                    for st, taken in branch_on(state, ev(state.store)):
-                        configs.append(
-                            Config(st, stack, target if taken else nxt)
-                        )
-                    return configs, _NO_FINALS
-
-                return slow_ifgoto
-
-            fast = None
-            if self.symbolic:
-                fev = self._fast_ev(cmd.condition)
-
-                def fast_ifgoto(state, stack):
-                    try:
-                        c = fev(state.store)
-                    except _BAIL:
-                        return None
-                    if c is True:
-                        return (Config(state, stack, target),), _NO_FINALS
-                    if c is False:
-                        return (Config(state, stack, nxt),), _NO_FINALS
-                    return None
-
-                fast = _fast_gate((cmd.condition,), fast_ifgoto)
-            return None, bind_ifgoto, fast
-
-        if kind is Call:
-            return self._compile_call(cmd, idx)
-
-        if kind is Return:
-            ev = self._ev(cmd.expr)
-            set_store = self._set_store
-
-            def slow_return(state, stack):
-                v = ev(state.store)
-                top = stack[-1]
-                if type(top) is TopFrame:
-                    return _NO_CONFIGS, (Final(state, _NORMAL, v),)
-                store = dict(top.saved_store)
-                store[top.ret_var] = v
-                return (
-                    (Config(set_store(state, store), stack[:-1], top.ret_idx),),
-                    _NO_FINALS,
-                )
-
-            fast = None
-            if self.symbolic:
-                fev = self._fast_ev(cmd.expr)
-
-                def fast_return(state, stack):
-                    try:
-                        v = fev(state.store)
-                    except _BAIL:
-                        return None
-                    top = stack[-1]
-                    if type(top) is TopFrame:
-                        return _NO_CONFIGS, (Final(state, _NORMAL, Lit(v)),)
-                    store = dict(top.saved_store)
-                    store[top.ret_var] = Lit(v)
-                    return (
-                        (
-                            Config(
-                                set_store(state, store), stack[:-1], top.ret_idx
-                            ),
-                        ),
-                        _NO_FINALS,
-                    )
-
-                fast = _fast_gate((cmd.expr,), fast_return)
-            return slow_return, None, fast
-
-        if kind is Fail:
-            ev = self._ev(cmd.expr)
-
-            def slow_fail(state, stack):
-                return _NO_CONFIGS, (Final(state, _ERROR, ev(state.store)),)
-
-            fast = None
-            if self.symbolic:
-                fev = self._fast_ev(cmd.expr)
-
-                def fast_fail(state, stack):
-                    try:
-                        v = fev(state.store)
-                    except _BAIL:
-                        return None
-                    return _NO_CONFIGS, (Final(state, _ERROR, Lit(v)),)
-
-                fast = _fast_gate((cmd.expr,), fast_fail)
-            return slow_fail, None, fast
-
-        if kind is Vanish:
-            def slow_vanish(state, stack):
-                return _NO_CONFIGS, (Final(state, _VANISH, None),)
-
-            return slow_vanish, None, None
-
-        if kind is ActionCall:
-            ev = self._ev(cmd.arg)
-            action = cmd.action
-            target = cmd.target
-
-            def bind_action(sm):
-                execute_action = sm.execute_action
-
-                def slow_action(state, stack):
-                    arg = ev(state.store)
-                    configs: List[Config] = []
-                    finals: List[Final] = []
-                    for branch in execute_action(state, action, arg):
-                        cls = type(branch)
-                        if cls is StateOk:
-                            configs.append(
-                                Config(
-                                    branch.state.bind(target, branch.value),
-                                    stack,
-                                    nxt,
-                                )
-                            )
-                        elif cls is StateErr:
-                            finals.append(
-                                Final(branch.state, _ERROR, branch.value)
-                            )
-                        else:  # pragma: no cover - defensive
-                            raise GilRuntimeError(f"bad action branch {branch!r}")
-                    return configs, finals
-
-                return slow_action
-
-            return None, bind_action, None
-
-        if kind is USym:
-            target = cmd.target
-            site = cmd.site
-
-            def bind_usym(sm):
-                fresh_usym = sm.fresh_usym
-
-                def slow_usym(state, stack):
-                    state, sym = fresh_usym(state, site)
-                    return (
-                        (Config(state.bind(target, sym), stack, nxt),),
-                        _NO_FINALS,
-                    )
-
-                return slow_usym
-
-            return None, bind_usym, None
-
-        if kind is ISym:
-            target = cmd.target
-            site = cmd.site
-
-            def bind_isym(sm):
-                fresh_isym = sm.fresh_isym
-
-                def slow_isym(state, stack):
-                    state, val = fresh_isym(state, site)
-                    return (
-                        (Config(state.bind(target, val), stack, nxt),),
-                        _NO_FINALS,
-                    )
-
-                return slow_isym
-
-            return None, bind_isym, None
-
-        def slow_unknown(state, stack):
-            raise GilRuntimeError(f"unknown command {cmd!r}")
-
-        return slow_unknown, None, None
-
-    def _compile_call(self, cmd: Call, idx: int) -> _Entry:
-        nxt = idx + 1
-        set_store = self._set_store
-        arg_evs = [self._ev(a) for a in cmd.args]
-
-        static_name: Optional[str] = None
-        static_error: Optional[str] = None
-        callee = cmd.callee
-        if isinstance(callee, Lit):
-            # eval_expr of a literal is the literal (symbolic) or its value
-            # (concrete); resolve the callee once at compile time.
-            if isinstance(callee.value, str):
-                static_name = callee.value
-            else:
-                shown = callee if self.symbolic else callee.value
-                static_error = f"call: not a procedure name: {shown!r}"
-
-        if static_error is not None:
-            msg = static_error
-
-            def slow_bad_callee(state, stack):
-                return _NO_CONFIGS, (Final(state, _ERROR, msg),)
-
-            return slow_bad_callee, None, None
-
-        if static_name is not None:
-            proc = self.prog.get(static_name)
-            if proc is None:
-                msg = f"call to unknown procedure {static_name!r}"
-
-                def slow_unknown_proc(state, stack):
-                    return _NO_CONFIGS, (Final(state, _ERROR, msg),)
-
-                return slow_unknown_proc, None, None
-            params = proc.params
-            if len(cmd.args) != len(params):
-                # Arguments still evaluate first (an eval error outranks
-                # the arity error, exactly as the interpreter orders it).
-                msg = (
-                    f"{static_name}: arity mismatch "
-                    f"({len(cmd.args)} args for {len(params)} params)"
-                )
-
-                def slow_bad_arity(state, stack):
-                    for ev in arg_evs:
-                        ev(state.store)
-                    return _NO_CONFIGS, (Final(state, _ERROR, msg),)
-
-                return slow_bad_arity, None, None
-
-            name = static_name
-            ret_var = cmd.target
-
-            def slow_call(state, stack):
-                store = state.store
-                new_store = {}
-                for p, ev in zip(params, arg_evs):
-                    new_store[p] = ev(store)
-                frame = InnerFrame(name, ret_var, tuple(store.items()), nxt)
-                return (
-                    (Config(set_store(state, new_store), stack + (frame,), 0),),
-                    _NO_FINALS,
-                )
-
-            fast = None
-            if self.symbolic:
-                fast_arg_evs = [self._fast_ev(a) for a in cmd.args]
-
-                def fast_call(state, stack):
-                    store = state.store
-                    new_store = {}
-                    try:
-                        for p, fev in zip(params, fast_arg_evs):
-                            new_store[p] = Lit(fev(store))
-                    except _BAIL:
-                        return None
-                    frame = InnerFrame(name, ret_var, tuple(store.items()), nxt)
-                    return (
-                        (
-                            Config(
-                                set_store(state, new_store), stack + (frame,), 0
-                            ),
-                        ),
-                        _NO_FINALS,
-                    )
-
-                fast = _fast_gate(tuple(cmd.args), fast_call)
-            return slow_call, None, fast
-
-        # Dynamic callee: resolve at run time, mirroring the interpreter.
-        callee_ev = self._ev(callee)
-        prog = self.prog
-        ret_var = cmd.target
-
-        def slow_dynamic_call(state, stack):
-            value = callee_ev(state.store)
-            try:
-                proc_name = _resolve_proc_name(value)
-            except GilRuntimeError:
-                return _NO_CONFIGS, (
-                    Final(
-                        state, _ERROR, f"call: not a procedure name: {value!r}"
-                    ),
-                )
-            proc = prog.get(proc_name)
-            if proc is None:
-                return _NO_CONFIGS, (
-                    Final(
-                        state, _ERROR, f"call to unknown procedure {proc_name!r}"
-                    ),
-                )
-            store = state.store
-            args = [ev(store) for ev in arg_evs]
-            if len(args) != len(proc.params):
-                return _NO_CONFIGS, (
-                    Final(
-                        state,
-                        _ERROR,
-                        f"{proc_name}: arity mismatch "
-                        f"({len(args)} args for {len(proc.params)} params)",
-                    ),
-                )
-            frame = InnerFrame(proc_name, ret_var, tuple(store.items()), nxt)
-            return (
-                (
-                    Config(
-                        set_store(state, dict(zip(proc.params, args))),
-                        stack + (frame,),
-                        0,
-                    ),
-                ),
-                _NO_FINALS,
-            )
-
-        return slow_dynamic_call, None, None
-
-
-class _SharedTable:
-    """Per-``(Prog, mode)`` compiled commands, shared across instances.
-
-    Commands compile lazily and *individually* on first execution: a
-    procedure's error-handling arms, unreachable branches, and anything
-    a short test never steps through stay uncompiled.  Eager whole-proc
-    compilation measurably dominates suites of short symbolic tests
-    (hundreds of commands lowered per program, a fraction executed)."""
-
-    def __init__(self, prog: Prog, symbolic: bool, simplifier) -> None:
-        self._compiler = _ProcCompiler(prog, symbolic, simplifier)
-        #: per proc: the command list and a same-length entry cache
-        self._procs: Dict[str, Tuple[tuple, List[Optional[_Entry]]]] = {}
-
-    def slots(self, name: str) -> Tuple[tuple, List[Optional[_Entry]]]:
-        found = self._procs.get(name)
-        if found is None:
-            proc = self._compiler.prog.get(name)
-            if proc is None:
-                raise GilRuntimeError(f"unknown procedure {name!r}")
-            body = tuple(proc.body)
-            found = self._procs[name] = (body, [None] * len(body))
-        return found
-
-    def entry(self, name: str, idx: int) -> _Entry:
-        body, entries = self.slots(name)
-        e = entries[idx]
-        if e is None:
-            e = entries[idx] = self._compiler.compile_command(body[idx], idx)
-        return e
-
-
-def _shared_table(prog: Prog, sm, symbolic: bool) -> _SharedTable:
-    tables = getattr(prog, _TABLE_ATTR, None)
-    if tables is None:
-        tables = {}
-        setattr(prog, _TABLE_ATTR, tables)
-    if symbolic:
-        flavour = sm.simplifier
-        key = ("sym", flavour.enabled, flavour.memoise)
-        simplifier = _shared_simplifier(flavour.enabled, flavour.memoise)
-    else:
-        key = ("conc",)
-        simplifier = None
-    table = tables.get(key)
-    if table is None:
-        table = _SharedTable(prog, symbolic, simplifier)
-        tables[key] = table
-    return table
-
-
-# ---------------------------------------------------------------------------
-# the compiled program
-# ---------------------------------------------------------------------------
 
 class CompiledProg:
-    """A program lowered to per-procedure step-closure arrays, bound to
-    one state model.
+    """Empty stand-in for the removed compiled program; nothing builds one."""
 
-    Commands compile lazily on first execution (short runs touching a
-    fraction of a program's commands never pay for the rest) into the
-    program's shared per-mode table; binding a command to this
-    instance's state model costs one closure for ``ifgoto``/action/
-    symbol commands and nothing for the rest.
-    """
-
-    def __init__(self, prog: Prog, sm) -> None:
-        from repro.state.symbolic import SymbolicStateModel
-
-        self.prog = prog
-        self.sm = sm
-        self.symbolic = type(sm) is SymbolicStateModel
-        #: commands executed through the concrete fast lane
-        self.fast_steps = 0
-        self._table = _shared_table(prog, sm, self.symbolic)
-        self._slow: Dict[str, list] = {}
-        self._fast: Dict[str, list] = {}
-        # Optional summary engine (attach_summaries): compiled closures
-        # are shared across instances, so call-site interception lives
-        # here, per instance, keyed by a lazily-built idx -> Call map.
-        self._summaries = None
-        self._call_cmds: Dict[str, dict] = {}
-
-    def attach_summaries(self, engine) -> None:
-        """Route ``Call`` commands through a summary engine first.
-
-        Mirrors the interpreter's ``step(..., summaries=...)`` parameter:
-        a ``Call`` the engine can answer returns its replayed successors;
-        ``None`` falls through to the ordinary compiled closure.
-        """
-        self._summaries = engine
-
-    def _index_calls(self, name: str) -> dict:
-        """The ``idx -> Call`` map of one procedure (built on first use)."""
-        proc = self.prog.get(name)
-        calls = (
-            {i: c for i, c in enumerate(proc.body) if isinstance(c, Call)}
-            if proc is not None
-            else {}
+    def step(self, cfg):
+        """Always raises: there is no compiled pipeline to step through."""
+        raise NotImplementedError(
+            "the compiled GIL pipeline was removed; "
+            "use repro.gil.semantics.step"
         )
-        self._call_cmds[name] = calls
-        return calls
-
-    def _bind_proc(self, name: str) -> list:
-        # Same-length slot arrays; commands compile and bind on first
-        # execution (see _SharedTable) — a slot stays None until then.
-        _body, entries = self._table.slots(name)
-        slow: list = [None] * len(entries)
-        self._slow[name] = slow
-        self._fast[name] = [None] * len(entries)
-        return slow
-
-    def _bind_at(self, name: str, idx: int):
-        direct, binder, f = self._table.entry(name, idx)
-        run_slow = direct if direct is not None else binder(self.sm)
-        self._slow[name][idx] = run_slow
-        self._fast[name][idx] = f
-        return run_slow
-
-    def step(self, cfg: Config) -> Tuple[tuple, tuple]:
-        """One transition, mirroring :func:`repro.gil.semantics.step`."""
-        stack = cfg.stack
-        proc = stack[-1].proc
-        slow = self._slow.get(proc)
-        if slow is None:
-            slow = self._bind_proc(proc)
-        idx = cfg.idx
-        if not 0 <= idx < len(slow):
-            raise GilRuntimeError(f"{proc}: no command at index {idx}")
-        run_slow = slow[idx]
-        if run_slow is None:
-            run_slow = self._bind_at(proc, idx)
-        state = cfg.state
-        summaries = self._summaries
-        if summaries is not None:
-            calls = self._call_cmds.get(proc)
-            if calls is None:
-                calls = self._index_calls(proc)
-            cmd = calls.get(idx)
-            if cmd is not None:
-                served = summaries.try_call(state, stack, idx, cmd)
-                if served is not None:
-                    return served
-        try:
-            if self.symbolic:
-                # Concrete fast lane: try the specialized closure first.
-                # It reads store values through ``read_lit`` and bails
-                # (returns None) the moment any operand is non-literal,
-                # so no up-front store scan or empty-pc requirement is
-                # needed — commands the lane covers never consult π, and
-                # every state constructor it uses carries π through
-                # unchanged.  Guards that concretely decide to True/False
-                # match ``branch_on`` exactly because conjoining TRUE is
-                # the identity and a FALSE arm is dropped before any
-                # solver query.
-                run = self._fast[proc][idx]
-                if run is not None:
-                    result = run(state, stack)
-                    if result is not None:
-                        self.fast_steps += 1
-                        return result
-            return run_slow(state, stack)
-        except EvalError as exc:
-            # An ill-typed concrete evaluation is a TL runtime error.
-            return (), (Final(state, _ERROR, f"eval-error: {exc}"),)
-
-
-def supports(sm) -> bool:
-    """Whether ``sm`` is a state model the compiled pipeline covers.
-
-    Only the two stock state models qualify: subclasses (e.g. the
-    concolic directed model) may override proper actions in ways the
-    pre-bound closures would bypass, so they take the interpreted path.
-    """
-    from repro.state.concrete import ConcreteStateModel
-    from repro.state.symbolic import SymbolicStateModel
-
-    return type(sm) in (SymbolicStateModel, ConcreteStateModel)
-
-
-def compile_prog(prog: Prog, sm) -> CompiledProg:
-    """Lower ``prog`` for execution under ``sm`` (lazily, per procedure)."""
-    return CompiledProg(prog, sm)

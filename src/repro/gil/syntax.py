@@ -204,12 +204,6 @@ class Prog:
     def __repr__(self) -> str:
         return "\n\n".join(repr(p) for p in self.procs.values())
 
-    def __reduce__(self):
-        # Rebuild from procedures alone: the compiled-closure tables that
-        # repro.gil.compile caches on the instance are neither picklable
-        # nor meaningful in another process (workers recompile lazily).
-        return (Prog, (self.procs,))
-
 
 def allocate_sites(prog: Prog) -> Prog:
     """Renumber uSym/iSym allocation sites so each is globally unique.

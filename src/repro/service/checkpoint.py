@@ -5,7 +5,7 @@ A checkpoint is the full resumable state of a job at a
 stepped, with depths — the just-popped item included, since its step has
 not run) plus the **finals and stats accumulated so far**, with all
 deferred counter deltas flushed (the explorer's checkpoint hook flushes
-solver/degradation/fast-lane baselines before calling ``save``, so
+solver/degradation/summary baselines before calling ``save``, so
 checkpointed stats + post-resume stats sum exactly to the uninterrupted
 totals).
 

@@ -109,10 +109,9 @@ class ContentStore:
 class GilStore(ContentStore):
     """The compiled-GIL cache: ``JobSpec.source_key()`` → pickled Prog.
 
-    Compiled step closures do not pickle, but ``Prog.__reduce__`` strips
-    them, so a cached program rebuilds its tables lazily on first use —
-    the cache saves the parse/compile front end, which dominates for
-    small programs resubmitted in bursts.
+    A ``Prog`` is plain data (procedures of frozen commands), so it
+    pickles as is; the cache saves the parse/compile front end, which
+    dominates for small programs resubmitted in bursts.
     """
 
 

@@ -14,8 +14,8 @@ This package is that layer for the GIL engine:
   classification, and content-addressed cache keys;
 * :mod:`repro.specs.cache` — the process-wide in-memory cache plus the
   durable checksummed :class:`repro.service.store.SummaryStore`;
-* :mod:`repro.specs.engine` — the :class:`SummaryEngine` that both
-  execution arms (interpreted and compiled) consult at ``Call``
+* :mod:`repro.specs.engine` — the :class:`SummaryEngine` that the
+  interpreter (:func:`repro.gil.semantics.step`) consults at ``Call``
   commands;
 * :mod:`repro.specs.incorrectness` — the under-approximate bug-finding
   arm whose reports are confirmed true-positive by concrete replay.

@@ -1,8 +1,6 @@
-"""The summary engine: call-site interception for both execution arms.
+"""The summary engine: call-site interception for the GIL stepper.
 
-Both steppers — the tree-walking interpreter
-(:func:`repro.gil.semantics.step`) and the compiled pipeline
-(:meth:`repro.gil.compile.CompiledProg.step`) — consult an attached
+The interpreter (:func:`repro.gil.semantics.step`) consults an attached
 :class:`SummaryEngine` when the current command is a ``Call``.
 :meth:`SummaryEngine.try_call` answers with the call's successor
 configurations and finals (a *replay*), or ``None`` to fall back to
@@ -16,7 +14,7 @@ each recorded path's delta is re-checked against the *caller's* π
 ``branch_on``), so the feasible subset replayed equals the subset
 inline execution would have kept.  The differential fuzz arm asserts
 the resulting finals multiset is identical summaries-on vs -off across
-both arms and all worker counts.
+all worker counts.
 
 Safety gates: summaries require the stock symbolic state model, and an
 explorer with an installed fault injector never constructs an engine —
@@ -208,8 +206,6 @@ class SummaryEngine:
         )
         explorer = Explorer(self.prog, self.sm, cfg)
         explorer._summaries = self
-        if explorer._compiled is not None:
-            explorer._compiled.attach_summaries(self)
         return explorer
 
     def _summarize(
@@ -374,10 +370,10 @@ class SummaryEngine:
 def make_summary_engine(prog: Prog, sm, config, events=None) -> Optional[SummaryEngine]:
     """A :class:`SummaryEngine` for ``sm``, or None when unsupported.
 
-    Summaries cover exactly the stock symbolic state model (mirroring
-    :func:`repro.gil.compile.supports`): subclasses may override proper
-    actions in ways a recorded summary would bypass, and concrete runs
-    never branch, so inline execution is already optimal there.
+    Summaries cover exactly the stock symbolic state model: subclasses
+    may override proper actions in ways a recorded summary would bypass,
+    and concrete runs never branch, so inline execution is already
+    optimal there.
     """
     from repro.state.symbolic import SymbolicStateModel
 

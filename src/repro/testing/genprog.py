@@ -7,8 +7,8 @@ Two generators live here, both deterministic per seed:
   small While-memory GIL programs with interpreted-symbol inputs,
   bounded arithmetic, forward branches, bounded loops and object
   lifecycle actions, used by the concrete-vs-symbolic /
-  parallel-vs-sequential / compiled-vs-interpreted / fault-recovery
-  arms in ``tests/engine/test_fuzz_differential.py``.
+  parallel-vs-sequential / cached-vs-uncached / fault-recovery arms in
+  ``tests/engine/test_fuzz_differential.py``.
 
 * :class:`CrossProgram` / :func:`generate_cross_program` — the
   cross-target corpus: one *target-agnostic* program shape per seed,
@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-from repro.engine.config import EngineConfig
+from repro.engine.config import EngineConfig, javert2_baseline
 from repro.engine.explorer import Explorer
 from repro.gil.semantics import OutcomeKind
 from repro.gil.syntax import (
@@ -66,6 +66,14 @@ MAX_LOOP_ITERS = 3
 
 #: engine configuration shared by all fuzz arms
 CONFIG = EngineConfig(max_paths=2_000, max_total_steps=50_000)
+
+#: the JaVerT 2.0 baseline flavour of :data:`CONFIG` (paper §4.1): the
+#: same bounds and simplification rules, with nothing memoised, cached
+#: or solved incrementally, so it must explore exactly what ``CONFIG``
+#: explores
+BASELINE_CONFIG = javert2_baseline(
+    max_paths=CONFIG.max_paths, max_total_steps=CONFIG.max_total_steps
+)
 
 
 def _parse_count(token: str, raw: str) -> int:

@@ -1,5 +1,7 @@
 """Tests for the symbolic execution driver (repro.engine.explorer)."""
 
+import gc
+
 import pytest
 
 from repro.engine.config import EngineConfig, gillian, javert2_baseline
@@ -8,6 +10,7 @@ from repro.engine.results import ExecutionResult, ExecutionStats
 from repro.gil.semantics import OutcomeKind
 from repro.gil.syntax import (
     Assignment,
+    Call,
     Goto,
     IfGoto,
     ISym,
@@ -17,6 +20,7 @@ from repro.gil.syntax import (
     Vanish,
 )
 from repro.logic.expr import Lit, PVar
+from repro.specs.cache import clear_summary_cache
 from repro.state.concrete import ConcreteStateModel
 from repro.state.symbolic import SymbolicStateModel
 from repro.targets.while_lang.memory import WhileConcreteMemory, WhileSymbolicMemory
@@ -117,6 +121,127 @@ class TestStats:
         assert a.commands_executed == 5
         assert a.paths_finished == 3
         assert a.wall_time == 0.75
+
+
+class TestCheckpointFold:
+    """The drive loop folds the solver, degradation and summary counters
+    into the run's stats at every checkpoint save and once at exit.  Each
+    fold resets its baseline, so together they count everything once."""
+
+    class Recorder:
+        """A checkpoint hook that saves after every command."""
+
+        interval = 1
+
+        def __init__(self):
+            self.saved = []
+
+        def save(self, frontier, finals, stats):
+            self.saved.append((stats.solver_queries, stats.summary_replays))
+
+    PROG = prog_of(
+        Proc("helper", ("a",), (
+            IfGoto(PVar("a").lt(Lit(0)), 2),
+            Return(PVar("a")),
+            Return(Lit(0) - PVar("a")),
+        )),
+        Proc("main", (), (
+            ISym("x", 0),
+            ISym("y", 1),
+            Call("r1", Lit("helper"), (PVar("x"),)),
+            Call("r2", Lit("helper"), (PVar("y"),)),
+            IfGoto(PVar("r1").lt(PVar("r2")), 6),
+            Return(PVar("r1")),
+            Return(PVar("r2")),
+        )),
+    )
+
+    def run(self, checkpoint=None, **overrides):
+        clear_summary_cache()
+        sm = SymbolicStateModel(WhileSymbolicMemory())
+        result = Explorer(
+            self.PROG, sm, EngineConfig(**overrides), checkpoint=checkpoint
+        ).run("main")
+        return result, sm
+
+    def test_solver_counters_fold_once(self):
+        plain, _ = self.run()
+        recorder = self.Recorder()
+        saved, sm = self.run(recorder)
+        queries = [q for q, _ in recorder.saved]
+        assert len(queries) > 1 and queries == sorted(queries)
+        assert saved.stats.solver_queries == plain.stats.solver_queries
+        assert saved.stats.solver_queries == sm.solver.stats.queries > 0
+        assert saved.stats.solver_cache_hits == plain.stats.solver_cache_hits
+        assert saved.stats.solver_prefix_hits == plain.stats.solver_prefix_hits
+
+    def test_summary_counters_fold_once(self):
+        def counters(stats):
+            return (
+                stats.summary_hits,
+                stats.summary_misses,
+                stats.summary_replays,
+                stats.summary_build_commands,
+            )
+
+        plain, _ = self.run(summaries=True)
+        recorder = self.Recorder()
+        saved, _ = self.run(recorder, summaries=True)
+        replays = [r for _, r in recorder.saved]
+        assert replays == sorted(replays)
+        assert counters(saved.stats) == counters(plain.stats)
+        assert saved.stats.summary_replays > 0
+
+
+class TestGcBatching:
+    """A drive loop runs under a raised gen-0 collector threshold
+    (``EngineConfig.gc_batch``) and restores the caller's on exit."""
+
+    class Probe:
+        """A checkpoint hook reading the gen-0 threshold mid-drive."""
+
+        interval = 1
+
+        def __init__(self):
+            self.seen = set()
+
+        def save(self, frontier, finals, stats):
+            self.seen.add(gc.get_threshold()[0])
+
+    PROG = prog_of(Proc("main", (), (
+        ISym("a", 0),
+        IfGoto(PVar("a").lt(Lit(0)), 3),
+        Return(Lit(0)),
+        Return(Lit(1)),
+    )))
+
+    def drive(self, threshold, **overrides):
+        """Run PROG from gen-0 ``threshold``; return (mid-drive, after)."""
+        prev = gc.get_threshold()
+        probe = self.Probe()
+        gc.set_threshold(threshold, prev[1], prev[2])
+        try:
+            Explorer(
+                self.PROG,
+                SymbolicStateModel(WhileSymbolicMemory()),
+                EngineConfig(**overrides),
+                checkpoint=probe,
+            ).run("main")
+            after = gc.get_threshold()[0]
+        finally:
+            gc.set_threshold(*prev)
+        return probe.seen, after
+
+    def test_threshold_raised_then_restored(self):
+        assert self.drive(700, gc_batch=50_000) == ({50_000}, 700)
+
+    def test_zero_leaves_collector_alone(self):
+        assert self.drive(700, gc_batch=0) == ({700}, 700)
+
+    def test_higher_threshold_left_alone(self):
+        # A nested drive (or a caller that already batches) keeps the
+        # larger batch it found.
+        assert self.drive(80_000, gc_batch=50_000) == ({80_000}, 80_000)
 
 
 class TestResults:

@@ -2,7 +2,7 @@
 
 One seeded, target-agnostic program shape per seed is lowered to
 MiniWhile, MiniJS, MiniC and MiniRust sources with equivalent semantics
-(:mod:`repro.testing.genprog`), then cross-checked three ways:
+(:mod:`repro.testing.genprog`), then cross-checked four ways:
 
 * **across targets** — the concrete outcome class (returned value,
   assertion failure, memory fault, or vanish) must be identical for all
@@ -12,10 +12,12 @@ MiniWhile, MiniJS, MiniC and MiniRust sources with equivalent semantics
   instantiation against the other three;
 * **across worker counts** — for every target, the symbolic finals at
   ``workers=2`` and ``workers=4`` must equal the sequential run's;
-* **across execution arms** — compiled step closures vs the
-  tree-walking interpreter, and a seeded transient fault plan
-  (worker kills + injected action errors) that must recover to the
-  fault-free finals, per target.
+* **across solver configurations** — for every target, the Gillian
+  configuration and the uncached JaVerT 2.0 baseline must produce the
+  same finals and execute the same number of commands;
+* **under faults** — a seeded transient fault plan (worker kills +
+  injected action errors) must recover to the fault-free finals, per
+  target.
 
 Every failure message carries the seed and a one-liner that reprints
 the offending lowering, so failures reproduce from the terminal.
@@ -26,11 +28,12 @@ import dataclasses
 import pytest
 
 from repro.engine.explorer import Explorer
-from repro.engine.parallel import ParallelExplorer
+from repro.engine.parallel import ParallelExplorer, SymbolicModelFactory
 from repro.engine.results import final_sort_key
 from repro.state.symbolic import SymbolicStateModel
 from repro.testing.faults import FaultPlan
 from repro.testing.genprog import (
+    BASELINE_CONFIG,
     CONFIG,
     CROSS_QUICK_SEEDS,
     CROSS_TARGETS,
@@ -41,8 +44,6 @@ from repro.testing.genprog import (
 )
 
 LANGS = cross_languages()
-
-INTERP_CONFIG = dataclasses.replace(CONFIG, compiled=False)
 
 #: fault shapes whose recovery must be exact (no solver timeouts)
 EXACT_FAULT_KINDS = ("kill-raise", "kill-exit", "action")
@@ -58,7 +59,9 @@ def _finals(result):
 
 
 def _sequential(target, prog, config=CONFIG):
-    model = SymbolicStateModel(LANGS[target].symbolic_memory())
+    # The model's solver follows the config, so BASELINE_CONFIG runs
+    # without the simplifier memo, the solver caches and incrementality.
+    model = SymbolicModelFactory(LANGS[target].symbolic_memory(), config)()
     return Explorer(prog, model, config).run("main")
 
 
@@ -114,15 +117,17 @@ class TestPerTargetEngineArms:
 
     @pytest.mark.parametrize("seed", CROSS_QUICK_SEEDS)
     @pytest.mark.parametrize("target", CROSS_TARGETS)
-    def test_compiled_vs_interpreted(self, seed, target):
+    def test_cached_vs_uncached(self, seed, target):
         cp, progs = _compiled(seed)
-        compiled = _sequential(target, progs[target], CONFIG)
-        interp = _sequential(target, progs[target], INTERP_CONFIG)
-        assert interp.stats.fast_lane_steps == 0
-        assert _finals(compiled) == _finals(interp), (
-            f"seed {seed} [{target}]: compiled finals differ from "
-            f"interpreted\nreproduce: {cp.repro(target)}"
+        cached = _sequential(target, progs[target])
+        uncached = _sequential(target, progs[target], BASELINE_CONFIG)
+        assert _finals(cached) == _finals(uncached), (
+            f"seed {seed} [{target}]: cached finals differ from "
+            f"uncached\nreproduce: {cp.repro(target)}"
         )
+        assert (
+            cached.stats.commands_executed == uncached.stats.commands_executed
+        ), f"seed {seed} [{target}]: command counts differ"
 
     @pytest.mark.parametrize("seed", CROSS_QUICK_SEEDS)
     @pytest.mark.parametrize("target", CROSS_TARGETS)

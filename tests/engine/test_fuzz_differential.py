@@ -3,7 +3,7 @@
 A seeded random generator builds small GIL programs over the While memory
 model — interpreted-symbol inputs, bounded integer arithmetic, forward
 branches, bounded loops, object allocation/mutation/lookup/dispose — and
-every generated program is cross-checked two ways:
+every generated program is cross-checked four ways:
 
 * **concrete vs symbolic** — :func:`check_trace_soundness` symbolically
   executes the program, asks the solver for a model ε of every final's
@@ -15,12 +15,14 @@ every generated program is cross-checked two ways:
   run's, exercising the pickle layer (expression re-interning,
   path-condition re-linking, state serialization) on arbitrary program
   shapes rather than hand-picked ones;
-* **compiled vs interpreted** — the pre-compiled step closures
-  (:mod:`repro.gil.compile`) must produce the same multiset of finals
-  *and* the same non-timing stats (command counts, path tallies, solver
-  queries by cache tier, degradation ledger) as the tree-walking
-  interpreter, with and without fault injection: compilation may change
-  how fast a command runs, never what it does or what the solver sees;
+* **cached vs uncached** — the Gillian configuration (memoised
+  simplifier, solver result and prefix caches, incremental solving)
+  against the JaVerT 2.0 baseline (``javert2_baseline``: the same
+  simplification rules, nothing memoised or cached) must produce the
+  same multiset of finals *and* the same exploration counters (command
+  counts, path tallies, stop reason, degradation ledger), with and
+  without fault injection: caching may change how fast a query is
+  answered, never its answer (paper §4.1);
 * **faulted vs fault-free** — the same programs run again under a
   seeded random :class:`FaultPlan` (worker kills by raise and by
   ``os._exit``, injected action errors).  A *transient* fault must be
@@ -43,7 +45,7 @@ import random
 import pytest
 
 from repro.engine.explorer import Explorer
-from repro.engine.parallel import ParallelExplorer
+from repro.engine.parallel import ParallelExplorer, SymbolicModelFactory
 from repro.engine.results import final_sort_key
 from repro.soundness.differential import check_trace_soundness
 from repro.state.symbolic import SymbolicStateModel
@@ -55,6 +57,7 @@ from repro.testing.faults import FaultPlan, WorkerKill
 # module); these re-exports keep the historical import surface —
 # tools/fingerprint.py and other tests import from here.
 from repro.testing.genprog import (  # noqa: F401  (re-exported API)
+    BASELINE_CONFIG,
     CONFIG,
     LONG_SEEDS,
     MAX_INPUTS,
@@ -104,90 +107,88 @@ def _finals_multiset(result):
     return sorted(final_sort_key(f) for f in result.finals)
 
 
-def _stats_key(stats):
-    """Every run counter except timing and the compiled-only fast-lane
-    tally — the fields the compiled pipeline must reproduce exactly."""
+#: fault shapes whose recovery must be *exact*; solver timeouts are
+#: excluded because an assumed-SAT branch may legitimately add finals
+EXACT_FAULT_KINDS = ("kill-raise", "kill-exit", "action")
+
+
+def _exploration_key(stats):
+    """Every run counter except timing and the solver's query tallies —
+    the fields the caching layers must leave unchanged.  How many
+    queries reach the solver, and at which cache tier they are answered,
+    is exactly what those layers change."""
     return (
         stats.commands_executed,
         stats.paths_finished,
         stats.paths_vanished,
         stats.paths_dropped,
-        stats.solver_queries,
-        stats.solver_cache_hits,
-        stats.solver_prefix_hits,
-        stats.solver_model_reuse,
         stats.stop_reason,
         stats.incompleteness,
     )
 
 
-INTERP_CONFIG = dataclasses.replace(CONFIG, compiled=False)
-
-
-def assert_compiled_matches(seed: int) -> None:
-    """Compiled closures vs the tree-walking interpreter, bit for bit.
-
-    Both the multiset of finals *and* every non-timing stat (command
-    counts, path tallies, solver queries by cache tier, degradation
-    ledger) must be identical: the compiled pipeline may change how fast
-    a command executes, never what it does or what the solver is asked.
-    """
-    prog = generate_program(seed)
-    compiled = Explorer(
-        prog, SymbolicStateModel(WhileSymbolicMemory()), CONFIG
-    ).run("main")
-    interp = Explorer(
-        prog, SymbolicStateModel(WhileSymbolicMemory()), INTERP_CONFIG
-    ).run("main")
-    assert interp.stats.fast_lane_steps == 0, f"seed {seed}"
-    assert _finals_multiset(compiled) == _finals_multiset(interp), (
-        f"seed {seed}: compiled finals differ from interpreted\n"
-        f"program:\n{prog!r}"
-    )
-    assert _stats_key(compiled.stats) == _stats_key(interp.stats), (
-        f"seed {seed}: compiled stats diverge from interpreted\n"
-        f"compiled: {_stats_key(compiled.stats)}\n"
-        f"interp:   {_stats_key(interp.stats)}\nprogram:\n{prog!r}"
-    )
-
-
-def assert_compiled_matches_under_faults(seed: int) -> None:
-    """The compiled/interpreted identity must survive fault injection.
-
-    The same seeded fault plan is run through both pipelines: injected
-    action errors and worker kills trigger at the same steps either way
-    (the compiled path executes the same command sequence), so recovery
-    must land on the same finals and the same merged counters.
-    """
-    prog = generate_program(seed)
-    plan = FaultPlan.random(seed, workers=2, max_step=12, kinds=EXACT_FAULT_KINDS)
-    runs = {}
-    for label, base in (("compiled", CONFIG), (" interp ", INTERP_CONFIG)):
-        cfg = dataclasses.replace(base, fault_plan=plan, shard_retry_backoff=0.0)
-        runs[label] = _parallel_run(prog, cfg)
-    compiled, interp = runs["compiled"], runs[" interp "]
-    assert _finals_multiset(compiled) == _finals_multiset(interp), (
-        f"seed {seed}: compiled finals differ from interpreted under "
-        f"faults\nplan: {plan!r}\nprogram:\n{prog!r}"
-    )
-    assert _stats_key(compiled.stats) == _stats_key(interp.stats), (
-        f"seed {seed}: compiled stats diverge under faults\n"
-        f"compiled: {_stats_key(compiled.stats)}\n"
-        f"interp:   {_stats_key(interp.stats)}\n"
-        f"plan: {plan!r}\nprogram:\n{prog!r}"
-    )
+def _model(config):
+    """A stock symbolic While model whose solver follows ``config``."""
+    return SymbolicModelFactory(WhileSymbolicMemory(), config)()
 
 
 def _parallel_run(prog, config):
     return ParallelExplorer(
-        prog, SymbolicStateModel(WhileSymbolicMemory()), config,
-        workers=2, seed_factor=1,
+        prog, _model(config), config, workers=2, seed_factor=1,
     ).run("main")
 
 
-#: fault shapes whose recovery must be *exact*; solver timeouts are
-#: excluded because an assumed-SAT branch may legitimately add finals
-EXACT_FAULT_KINDS = ("kill-raise", "kill-exit", "action")
+def assert_cached_matches(seed: int) -> None:
+    """Gillian's caching layers vs the uncached JaVerT 2.0 baseline.
+
+    Both the multiset of finals *and* every exploration counter must be
+    identical: the memoised simplifier, the solver caches and
+    incremental solving may change how fast a path condition is
+    decided, never the decision (paper §4.1: the baseline has
+    "identical precision").
+    """
+    prog = generate_program(seed)
+    cached = Explorer(prog, _model(CONFIG), CONFIG).run("main")
+    uncached = Explorer(
+        prog, _model(BASELINE_CONFIG), BASELINE_CONFIG
+    ).run("main")
+    assert _finals_multiset(cached) == _finals_multiset(uncached), (
+        f"seed {seed}: cached finals differ from uncached\n"
+        f"program:\n{prog!r}"
+    )
+    assert _exploration_key(cached.stats) == _exploration_key(uncached.stats), (
+        f"seed {seed}: cached counters diverge from uncached\n"
+        f"cached:   {_exploration_key(cached.stats)}\n"
+        f"uncached: {_exploration_key(uncached.stats)}\nprogram:\n{prog!r}"
+    )
+
+
+def assert_cached_matches_under_faults(seed: int) -> None:
+    """The cached/uncached identity must survive fault injection.
+
+    The same seeded fault plan runs under both configurations: injected
+    action errors and worker kills trigger at the same steps either way
+    (both execute the same command sequence), so recovery must land on
+    the same finals and the same merged counters.
+    """
+    prog = generate_program(seed)
+    plan = FaultPlan.random(seed, workers=2, max_step=12, kinds=EXACT_FAULT_KINDS)
+
+    def faulted(base):
+        return dataclasses.replace(base, fault_plan=plan, shard_retry_backoff=0.0)
+
+    cached = _parallel_run(prog, faulted(CONFIG))
+    uncached = _parallel_run(prog, faulted(BASELINE_CONFIG))
+    assert _finals_multiset(cached) == _finals_multiset(uncached), (
+        f"seed {seed}: cached finals differ from uncached under faults\n"
+        f"plan: {plan!r}\nprogram:\n{prog!r}"
+    )
+    assert _exploration_key(cached.stats) == _exploration_key(uncached.stats), (
+        f"seed {seed}: cached counters diverge under faults\n"
+        f"cached:   {_exploration_key(cached.stats)}\n"
+        f"uncached: {_exploration_key(uncached.stats)}\n"
+        f"plan: {plan!r}\nprogram:\n{prog!r}"
+    )
 
 
 def assert_fault_recovery(seed: int) -> None:
@@ -279,8 +280,8 @@ class TestDifferentialFuzz:
         assert_parallel_matches(seed)
 
     @pytest.mark.parametrize("seed", QUICK_SEEDS)
-    def test_compiled_vs_interpreted(self, seed):
-        assert_compiled_matches(seed)
+    def test_cached_vs_uncached(self, seed):
+        assert_cached_matches(seed)
 
 
 class TestFaultInjectionFuzz:
@@ -295,8 +296,8 @@ class TestFaultInjectionFuzz:
         assert_incompleteness_accounts_exactly(seed)
 
     @pytest.mark.parametrize("seed", list(QUICK_SEEDS)[1::6])
-    def test_compiled_vs_interpreted_under_faults(self, seed):
-        assert_compiled_matches_under_faults(seed)
+    def test_cached_vs_uncached_under_faults(self, seed):
+        assert_cached_matches_under_faults(seed)
 
 
 @pytest.mark.slow
@@ -320,9 +321,9 @@ class TestDifferentialFuzzLong:
         assert_incompleteness_accounts_exactly(seed)
 
     @pytest.mark.parametrize("seed", LONG_SEEDS)
-    def test_compiled_vs_interpreted_long(self, seed):
-        assert_compiled_matches(seed)
+    def test_cached_vs_uncached_long(self, seed):
+        assert_cached_matches(seed)
 
     @pytest.mark.parametrize("seed", list(LONG_SEEDS)[7::16])
-    def test_compiled_vs_interpreted_under_faults_long(self, seed):
-        assert_compiled_matches_under_faults(seed)
+    def test_cached_vs_uncached_under_faults_long(self, seed):
+        assert_cached_matches_under_faults(seed)

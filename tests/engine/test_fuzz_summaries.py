@@ -7,10 +7,9 @@ helpers that allocate and mutate objects, a ``main`` mixing repeated
 calls between ordinary statements — and every seed is cross-checked:
 
 * **summaries-on vs -off** — the multiset of finals must be identical
-  with ``summaries=True`` under both execution arms (compiled and
-  interpreted) and under ``workers=2``: replaying a recorded summary at
-  a call site must be observationally equal to inline descent
-  (``docs/summaries.md`` §replay soundness);
+  with ``summaries=True``, sequentially and under ``workers=2``:
+  replaying a recorded summary at a call site must be observationally
+  equal to inline descent (``docs/summaries.md`` §replay soundness);
 * **engagement** — across the corpus, summaries must actually fire
   (cached-call replays, not silent inline fallback), so the equality
   above tests the replay path rather than an idle engine;
@@ -62,28 +61,21 @@ def _run(prog, config, workers=1):
 
 
 def assert_summaries_match(seed: int) -> int:
-    """On/off equality across both arms; returns the replay count."""
+    """On/off equality; returns the replay count."""
     prog = generate_call_program(seed)
     base = _run(prog, CONFIG)
     assert base.stats.stop_reason == "exhausted", (
         f"seed {seed}: baseline not exhaustive "
         f"({base.stats.stop_reason}); shrink the generator"
     )
-    expected = _finals_multiset(base)
-    replays = 0
-    for compiled in (True, False):
-        config = dataclasses.replace(SUMMARY_CONFIG, compiled=compiled)
-        result = _run(prog, config)
-        arm = "compiled" if compiled else "interpreted"
-        assert result.stats.stop_reason == "exhausted", (
-            f"seed {seed}: summaries-on ({arm}) not exhaustive"
-        )
-        assert _finals_multiset(result) == expected, (
-            f"seed {seed}: summaries-on finals differ ({arm} arm)\n"
-            f"program:\n{prog!r}"
-        )
-        replays += result.stats.summary_replays
-    return replays
+    result = _run(prog, SUMMARY_CONFIG)
+    assert result.stats.stop_reason == "exhausted", (
+        f"seed {seed}: summaries-on not exhaustive"
+    )
+    assert _finals_multiset(result) == _finals_multiset(base), (
+        f"seed {seed}: summaries-on finals differ\nprogram:\n{prog!r}"
+    )
+    return result.stats.summary_replays
 
 
 def assert_parallel_matches(seed: int) -> None:

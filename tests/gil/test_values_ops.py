@@ -1,10 +1,33 @@
-"""Tests for GIL values and concrete operator semantics."""
+"""Tests for GIL values and concrete operator semantics.
+
+:class:`TestEvaluatorAgreement` pins the contract between the concrete
+evaluator (:func:`repro.gil.ops.evaluate`) and the symbolic route
+(simplify ∘ substitute, what ``SymbolicStateModel.eval_expr`` computes
+on an all-literal store): when the concrete evaluator *succeeds*, the
+symbolic route must produce the same literal with the same runtime
+type.  Counter-model replay (Thm. 3.6) compares concrete outcomes with
+symbolic finals, so it relies on this agreement.
+:class:`TestEndToEnd` checks the same contract on whole programs: the
+interpreter over the symbolic state model against the interpreter over
+the concrete one.  The awkward corners exercised:
+
+* division and modulo by zero;
+* exact-integer division results (``10/2`` is ``5``, not ``5.0``);
+* short-circuit ``and``/``or`` (a false left arm must hide an erroring
+  right arm, matching the simplifier's annihilator rules);
+* mixed-type comparisons (number/string orderings error, ``==`` never
+  does, booleans are not numbers, ``10 == 10.0`` holds).
+"""
 
 import math
 
 import pytest
 
+from repro.engine.config import EngineConfig
+from repro.engine.explorer import Explorer
 from repro.gil.ops import EvalError, apply_binop, apply_unop, evaluate
+from repro.gil.semantics import OutcomeKind
+from repro.gil.syntax import Assignment, Proc, Prog, Return
 from repro.gil.values import (
     NULL,
     GilType,
@@ -14,7 +37,24 @@ from repro.gil.values import (
     type_of,
     values_equal,
 )
-from repro.logic.expr import BinOp, Lit, LVar, PVar, UnOp, lst
+from repro.logic.expr import (
+    BinOp,
+    BinOpExpr,
+    Expr,
+    Lit,
+    LVar,
+    PVar,
+    UnOp,
+    lst,
+    substitute_pvars,
+)
+from repro.logic.simplify import Simplifier
+from repro.state.concrete import ConcreteStateModel
+from repro.state.symbolic import SymbolicStateModel
+from repro.targets.while_lang.memory import (
+    WhileConcreteMemory,
+    WhileSymbolicMemory,
+)
 
 
 class TestValues:
@@ -165,3 +205,136 @@ class TestEvaluate:
     def test_or_short_circuits(self):
         e = Lit(True).or_(Lit(1).lt(Lit("a")))
         assert evaluate(e) is True
+
+
+#: the literal store every agreement case runs under — one binding per
+#: type so expressions read variables instead of being literal-only
+STORE = {
+    "n": Lit(10),
+    "z": Lit(0),
+    "f": Lit(2.5),
+    "s": Lit("abc"),
+    "t": Lit(True),
+    "nil": Lit(False),
+}
+
+
+def _div(a: Expr, b: Expr) -> Expr:
+    return BinOpExpr(BinOp.DIV, a, b)
+
+
+def _mod(a: Expr, b: Expr) -> Expr:
+    return BinOpExpr(BinOp.MOD, a, b)
+
+
+n, z, f, s, t, nil = (PVar(name) for name in ("n", "z", "f", "s", "t", "nil"))
+
+#: (label, expression) — every operator corner the two routes must match
+EDGE_CASES = [
+    ("div-by-zero", _div(n, z)),
+    ("mod-by-zero", _mod(n, z)),
+    ("div-exact-int", _div(n, Lit(2))),
+    ("div-inexact", _div(Lit(7), Lit(2)).eq(Lit(3.5))),
+    ("div-float", _div(f, Lit(0.5))),
+    ("mod-negative", _mod(Lit(-7), Lit(3))),
+    ("and-short-circuit-hides-error", nil.and_(_div(n, z).lt(Lit(1)))),
+    ("or-short-circuit-hides-error", t.or_(_div(n, z).lt(Lit(1)))),
+    ("and-right-error-surfaces", t.and_(_div(n, z).lt(Lit(1)))),
+    ("and-non-bool-left", n.and_(t)),
+    ("lt-mixed-number-string", n.lt(s)),
+    ("lt-string-string", s.lt(Lit("abd"))),
+    ("lt-bool-is-not-number", t.lt(Lit(2))),
+    ("leq-int-float", n.leq(Lit(10.0))),
+    ("eq-mixed-types-is-false", n.eq(s)),
+    ("eq-int-float", n.eq(Lit(10.0))),
+    ("eq-bool-vs-int", t.eq(Lit(1))),
+]
+
+
+def symbolic_eval(e: Expr):
+    """The symbolic route on a literal store: simplify(subst(e))."""
+    return Simplifier().simplify(substitute_pvars(e, STORE))
+
+
+class TestEvaluatorAgreement:
+    """Expression level: concrete evaluate vs simplified substitution."""
+
+    @pytest.mark.parametrize(
+        "label,expr", EDGE_CASES, ids=[c[0] for c in EDGE_CASES]
+    )
+    def test_concrete_and_symbolic_agree(self, label, expr):
+        env = {name: lit.value for name, lit in STORE.items()}
+        try:
+            concrete = evaluate(expr, pvar_env=env)
+        except EvalError:
+            concrete = EvalError
+        try:
+            sym = symbolic_eval(expr)
+        except TypeError:
+            sym = TypeError
+        if concrete is EvalError:
+            # A concrete rejection imposes no agreement obligation: the
+            # symbolic route may error (TypeError) or keep a residual
+            # expression.
+            return
+        # A concrete success is the direction that must agree: the
+        # symbolic route must produce the same literal — never an
+        # error, never a residual, and with the exact runtime type (Lit
+        # equality coerces, Lit(1) == Lit(1.0)).
+        assert sym is not TypeError, (
+            f"{label}: concrete returns {concrete!r}, symbolic raises"
+        )
+        assert sym == Lit(concrete), (
+            f"{label}: concrete={concrete!r} symbolic={sym!r}"
+        )
+        assert type(sym.value) is type(concrete), label
+
+
+def edge_prog(expr: Expr) -> Prog:
+    """``main`` binds the literal store, computes ``expr``, returns it."""
+    body = tuple(
+        Assignment(name, lit) for name, lit in STORE.items()
+    ) + (Assignment("out", expr), Return(PVar("out")))
+    prog = Prog()
+    prog.add(Proc("main", (), body))
+    return prog
+
+
+def run_edge(expr: Expr, state_model):
+    return Explorer(edge_prog(expr), state_model, EngineConfig()).run("main")
+
+
+class TestEndToEnd:
+    """Whole-program level: symbolic run vs concrete run of one program."""
+
+    @pytest.mark.parametrize(
+        "label,expr", EDGE_CASES, ids=[c[0] for c in EDGE_CASES]
+    )
+    def test_symbolic_run_matches_concrete_run(self, label, expr):
+        concrete = run_edge(expr, ConcreteStateModel(WhileConcreteMemory()))
+        symbolic = run_edge(expr, SymbolicStateModel(WhileSymbolicMemory()))
+        c_out, s_out = concrete.sole_outcome, symbolic.sole_outcome
+        if c_out.kind is OutcomeKind.ERROR:
+            # The concrete evaluator rejected the expression: the
+            # symbolic run may keep a residual or fail, but it must
+            # never fabricate a literal result.
+            assert not (
+                s_out.kind is OutcomeKind.NORMAL and isinstance(s_out.value, Lit)
+            ), f"{label}: concrete {c_out.value!r}, symbolic {s_out.value!r}"
+            return
+        assert s_out.kind is OutcomeKind.NORMAL, label
+        assert s_out.value == Lit(c_out.value), (
+            f"{label}: concrete={c_out.value!r} symbolic={s_out.value!r}"
+        )
+        assert type(s_out.value.value) is type(c_out.value), label
+        assert (
+            symbolic.stats.commands_executed == concrete.stats.commands_executed
+        ), label
+
+    def test_literal_store_needs_no_solver(self):
+        # On an all-literal store every case folds through the
+        # simplifier alone: one path, no branch, no solver query.
+        for label, expr in EDGE_CASES:
+            stats = run_edge(expr, SymbolicStateModel(WhileSymbolicMemory())).stats
+            assert stats.paths_finished == 1, label
+            assert stats.solver_queries == 0, label

@@ -260,7 +260,6 @@ def _result_key(result: ExecutionResult) -> Dict:
                    sorted(result.finals, key=final_sort_key)],
         "stats": {
             "commands_executed": stats.commands_executed,
-            "fast_lane_steps": stats.fast_lane_steps,
             "paths_finished": stats.paths_finished,
             "paths_vanished": stats.paths_vanished,
             "paths_dropped": stats.paths_dropped,
