@@ -16,6 +16,12 @@ MiniC) symbolic-testing workloads through the summary engine
   summarisation cost (``summary_build_commands``); the second pass must
   replay everything from the process-wide cache with **zero** build
   commands;
+* **wall time** — seconds of each off, cold and warm pass, per suite
+  and summed per table, because a replay is a batched solver check:
+  fewer commands alone does not prove less time.  An untimed
+  summaries-off pass runs first, so every timed pass finds the
+  process-wide simplifier memo warm.  One reading per pass, reported
+  and not gated;
 * a **correctness grid** — summaries-on/off × workers 1/2/4 must agree
   on the per-test multiset of final outcomes (digested via
   :func:`repro.engine.results.final_sort_key`).  The grid runs on the
@@ -41,6 +47,7 @@ from __future__ import annotations
 import itertools
 import os
 import sys
+import time
 from typing import Dict, List, Tuple
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -151,8 +158,16 @@ def _reductions(off: Dict[str, int], warm: Dict[str, int]) -> Dict[str, float]:
     }
 
 
+def timed_pass(suites: List[tuple], config: EngineConfig):
+    """:func:`run_pass` plus its wall time in seconds."""
+    start = time.perf_counter()
+    digests, agg = run_pass(suites, config)
+    return digests, agg, time.perf_counter() - start
+
+
 def measure_tables(suites: List[tuple]) -> Tuple[Dict, bool]:
-    """off/cold/warm command counts per suite, aggregated per table.
+    """off/cold/warm command counts and wall times per suite,
+    aggregated per table.
 
     The summaries-off and warm digests must agree per test (the finals
     identity for the sequential run over the *whole* workload,
@@ -163,10 +178,11 @@ def measure_tables(suites: List[tuple]) -> Tuple[Dict, bool]:
     identical = True
     for suite in suites:
         _, name, _, _ = suite
-        off_digests, off = run_pass([suite], gillian(summaries=False))
+        run_pass([suite], gillian(summaries=False))  # warm the simplifier
+        off_digests, off, off_s = timed_pass([suite], gillian(summaries=False))
         clear_summary_cache()
-        _, cold = run_pass([suite], gillian(summaries=True))
-        warm_digests, warm = run_pass([suite], gillian(summaries=True))
+        _, cold, cold_s = timed_pass([suite], gillian(summaries=True))
+        warm_digests, warm, warm_s = timed_pass([suite], gillian(summaries=True))
         clear_summary_cache()
         if off_digests != warm_digests:
             identical = False
@@ -181,17 +197,23 @@ def measure_tables(suites: List[tuple]) -> Tuple[Dict, bool]:
             "warm_commands_saved": warm["commands_saved"],
             "paths": off["paths"],
             **_reductions(off, warm),
+            "off_s": round(off_s, 4),
+            "cold_s": round(cold_s, 4),
+            "warm_s": round(warm_s, 4),
         }
         table = name.split("/", 1)[0]
         bucket = tables.setdefault(
             table, {"off": {"commands": 0, "paths": 0},
                     "warm": {"commands": 0, "build_commands": 0,
-                             "replays": 0, "commands_saved": 0}}
+                             "replays": 0, "commands_saved": 0},
+                    "seconds": {"off_s": 0.0, "cold_s": 0.0, "warm_s": 0.0}}
         )
         bucket["off"]["commands"] += off["commands"]
         bucket["off"]["paths"] += off["paths"]
         for key in bucket["warm"]:
             bucket["warm"][key] += warm[key]
+        for key, seconds in (("off_s", off_s), ("cold_s", cold_s), ("warm_s", warm_s)):
+            bucket["seconds"][key] += seconds
     per_table = {
         table: {
             "off_commands": b["off"]["commands"],
@@ -199,6 +221,7 @@ def measure_tables(suites: List[tuple]) -> Tuple[Dict, bool]:
             "warm_replays": b["warm"]["replays"],
             "warm_commands_saved": b["warm"]["commands_saved"],
             **_reductions(b["off"], b["warm"]),
+            **{key: round(seconds, 4) for key, seconds in b["seconds"].items()},
         }
         for table, b in tables.items()
     }
@@ -298,7 +321,9 @@ def main(argv: List[str]) -> int:
         print(
             f"{table}: call-site reduction {row['callsite_reduction']}x "
             f"(floor {floor}x: {'ok' if ok else 'FAILED'}), "
-            f"whole-run {row['whole_run_reduction']}x"
+            f"whole-run {row['whole_run_reduction']}x; wall time off "
+            f"{row['off_s']:.3f}s, cold {row['cold_s']:.3f}s, "
+            f"warm {row['warm_s']:.3f}s"
         )
     print(f"finals identity (sequential, full workload): "
           f"{'ok' if seq_identical else 'FAILED'}")

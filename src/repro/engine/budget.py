@@ -85,7 +85,7 @@ class Budget:
             max_steps_per_path=config.max_steps_per_path,
             max_paths=config.max_paths,
             max_total_steps=config.max_total_steps,
-            deadline=getattr(config, "deadline", None),
+            deadline=config.deadline,
         )
 
     def shard_slice(

@@ -21,6 +21,9 @@ Events are small frozen dataclasses:
   a ``Call`` was served from the function-summary cache, could not be,
   or was answered by replaying a summary's recorded paths (emitted from
   :mod:`repro.specs.engine`);
+* :class:`SummariesDisabled` — summaries were requested but an explorer
+  runs without them (a fault injector, or a subclassed symbolic state
+  model);
 * :class:`SpanEnd` — a named engine phase (seed, explore, shards, merge,
   compile) finished, with its wall-clock duration and step count;
 * :class:`MetricSample` — one observability metric reading, flushed by a
@@ -146,6 +149,19 @@ class SummaryReplay:
     paths: int           # recorded paths considered
     feasible: int        # paths admitted under the caller's π
     commands_saved: int  # GIL commands the replay avoided re-executing
+
+
+@dataclass(frozen=True)
+class SummariesDisabled:
+    """``EngineConfig.summaries`` is on, but this explorer runs without
+    a summary engine.
+
+    Emitted once per explorer construction.  Concrete state models never
+    emit it: their runs never branch, so inline execution is already
+    what a summary would buy.
+    """
+
+    reason: str  # "fault-plan" | "state-model:<class name>"
 
 
 @dataclass(frozen=True)

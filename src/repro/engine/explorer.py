@@ -54,6 +54,7 @@ from repro.engine.events import (
     PathEndEvent,
     SpanEnd,
     StepEvent,
+    SummariesDisabled,
 )
 from repro.engine.results import ExecutionResult, ExecutionStats
 from repro.engine.strategy import (
@@ -157,14 +158,18 @@ class Explorer:
         # Compositional execution: a summary engine intercepts Call
         # commands (the interpreter's ``summaries`` parameter).  Never
         # constructed alongside a fault injector — an injected fault
-        # could be recorded into a summary and then replayed everywhere.
+        # could be recorded into a summary and then replayed everywhere —
+        # and that refusal is reported on the bus.
         self._summaries = None
-        if self.config.summaries and self.faults is None:
-            from repro.specs.engine import make_summary_engine
+        if self.config.summaries:
+            if self.faults is None:
+                from repro.specs.engine import make_summary_engine
 
-            self._summaries = make_summary_engine(
-                prog, self.sm, self.config, events=events
-            )
+                self._summaries = make_summary_engine(
+                    prog, self.sm, self.config, events=events
+                )
+            elif events:
+                events.emit(SummariesDisabled("fault-plan"))
 
     def run(
         self,

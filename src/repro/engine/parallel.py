@@ -182,9 +182,9 @@ def model_factory_for(state_model, config: EngineConfig):
 
 @dataclass(frozen=True)
 class _WorkerTask:
-    """Everything one worker needs, shipped as a single pickled blob."""
+    """Everything one worker needs but the program, shipped as a single
+    pickled blob."""
 
-    prog: Prog
     config: EngineConfig
     strategy: StrategySpec
     budget: Budget
@@ -192,14 +192,18 @@ class _WorkerTask:
     items: Tuple[Tuple[Config, int], ...]  # (config, depth) shard
 
 
-def _worker_main(worker_id: int, blob: bytes, result_q, event_q) -> None:
+def _worker_main(
+    worker_id: int, prog: Prog, blob: bytes, result_q, event_q
+) -> None:
     """Worker entry point: run a sequential explorer over one shard.
 
-    The task arrives pickled (exercising the same wire protocol under
-    every start method, fork included — expressions re-intern into this
-    process's tables on load); the result leaves the same way.  Any
-    failure is reported as an ``("err", ...)`` record rather than a
-    silent exit, so the parent can surface the worker traceback.
+    The program is a plain process argument: the fork start method
+    inherits it without a copy, and spawn pickles it.  The task arrives
+    pickled under every start method, fork included (expressions in the
+    frontier re-intern into this process's tables on load); the result
+    leaves the same way.  Any failure is reported as an ``("err", ...)``
+    record rather than a silent exit, so the parent can surface the
+    worker traceback.
     """
     try:
         task: _WorkerTask = pickle.loads(blob)
@@ -212,7 +216,7 @@ def _worker_main(worker_id: int, blob: bytes, result_q, event_q) -> None:
             bus.subscribe(lambda ev: event_q.put((worker_id, ev)))
         sm = task.factory()
         explorer = Explorer(
-            task.prog,
+            prog,
             sm,
             task.config,
             strategy=task.strategy,
@@ -540,7 +544,6 @@ class ParallelExplorer:
         procs: List = []
         for worker_id, shard in enumerate(shards):
             task = _WorkerTask(
-                prog=self.prog,
                 config=round_config,
                 strategy=self.strategy,
                 budget=slice_budget,
@@ -549,7 +552,7 @@ class ParallelExplorer:
             )
             proc = self._mp.Process(
                 target=_worker_main,
-                args=(worker_id, pickle.dumps(task), result_q, event_q),
+                args=(worker_id, self.prog, pickle.dumps(task), result_q, event_q),
                 daemon=True,
             )
             proc.start()

@@ -19,7 +19,8 @@ all worker counts.
 Safety gates: summaries require the stock symbolic state model, and an
 explorer with an installed fault injector never constructs an engine —
 injected faults could corrupt a recorded summary and then replay the
-corruption everywhere.
+corruption everywhere.  Both refusals emit a ``SummariesDisabled``
+event.
 """
 
 from __future__ import annotations
@@ -29,7 +30,12 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import List, Optional, Tuple
 
-from repro.engine.events import SummaryHit, SummaryMiss, SummaryReplay
+from repro.engine.events import (
+    SummariesDisabled,
+    SummaryHit,
+    SummaryMiss,
+    SummaryReplay,
+)
 from repro.gil.ops import EvalError
 from repro.gil.semantics import Config, Final, OutcomeKind, TopFrame
 from repro.gil.syntax import Call, Proc, Prog
@@ -40,9 +46,9 @@ from repro.specs.summary import (
     SPEC_ARG_PREFIX,
     Summary,
     SummaryPath,
-    classify_pure,
     engine_salt,
     exact_key,
+    is_pure,
     proc_hash,
     pure_key,
     spec_arg,
@@ -87,7 +93,10 @@ class SummaryEngine:
     One engine serves one ``(prog, state model, config)`` triple; the
     summaries themselves live in the process-wide content-addressed
     cache (plus the optional disk store), so engines of a test suite
-    warm each other.
+    warm each other.  Facts about the program are derived lazily, for
+    the procedures a run actually calls, and memoised for the engine's
+    life: transitive body hashes, purity verdicts, and the sub-run
+    configuration.
     """
 
     def __init__(self, prog: Prog, sm, config, events=None) -> None:
@@ -96,15 +105,14 @@ class SummaryEngine:
         self.sm = sm
         self.config = config
         self.events = events
-        self.mode = getattr(config, "summary_mode", "verify")
+        self.mode = config.summary_mode
         self.counters = SummaryCounters()
-        self._pure = classify_pure(prog)
+        self._pure: dict = {}
         self._hash_memo: dict = {}
+        self._sub_config = None
         self._salt = engine_salt(sm, config)
         self._in_progress: set = set()
-        self._cache = SummaryCache(
-            getattr(config, "summary_dir", None), on_corrupt=self._on_corrupt
-        )
+        self._cache = SummaryCache(config.summary_dir, on_corrupt=self._on_corrupt)
 
     # -- cache plumbing ------------------------------------------------------
 
@@ -148,7 +156,7 @@ class SummaryEngine:
             return None
 
         phash = proc_hash(self.prog, name, self._hash_memo)
-        if self._pure.get(name, False):
+        if is_pure(self.prog, name, self._pure):
             tier = "pure"
             key = pure_key(phash, self._salt)
         else:
@@ -189,21 +197,24 @@ class SummaryEngine:
         The sub-run shares this engine (nested calls replay from the
         cache; direct recursion is broken by the in-progress guard) but
         runs under the summarisation budgets, sequentially, with faults
-        and the outer deadline stripped.
+        and the outer deadline stripped.  That configuration is built on
+        the engine's first summarisation and reused for the rest.
         """
         from repro.engine.explorer import Explorer
 
-        cfg = dataclasses.replace(
-            self.config,
-            summaries=False,
-            fault_plan=None,
-            fault_worker=None,
-            fault_attempt=0,
-            workers=1,
-            deadline=None,
-            max_paths=getattr(self.config, "summary_max_paths", 512),
-            max_total_steps=getattr(self.config, "summary_max_commands", 100_000),
-        )
+        cfg = self._sub_config
+        if cfg is None:
+            cfg = self._sub_config = dataclasses.replace(
+                self.config,
+                summaries=False,
+                fault_plan=None,
+                fault_worker=None,
+                fault_attempt=0,
+                workers=1,
+                deadline=None,
+                max_paths=self.config.summary_max_paths,
+                max_total_steps=self.config.summary_max_commands,
+            )
         explorer = Explorer(self.prog, self.sm, cfg)
         explorer._summaries = self
         return explorer
@@ -371,12 +382,15 @@ def make_summary_engine(prog: Prog, sm, config, events=None) -> Optional[Summary
     """A :class:`SummaryEngine` for ``sm``, or None when unsupported.
 
     Summaries cover exactly the stock symbolic state model: subclasses
-    may override proper actions in ways a recorded summary would bypass,
-    and concrete runs never branch, so inline execution is already
-    optimal there.
+    may override proper actions in ways a recorded summary would bypass
+    (refused with a :class:`~repro.engine.events.SummariesDisabled`
+    event), and concrete runs never branch, so inline execution is
+    already optimal there (refused silently).
     """
     from repro.state.symbolic import SymbolicStateModel
 
     if type(sm) is not SymbolicStateModel:
+        if events and isinstance(sm, SymbolicStateModel):
+            events.emit(SummariesDisabled(f"state-model:{type(sm).__name__}"))
         return None
     return SummaryEngine(prog, sm, config, events=events)

@@ -25,14 +25,23 @@ Keys are content-addressed (§cache keying in ``docs/summaries.md``): a
 procedure's hash covers its own body *and* its transitive static
 callees, so editing a helper invalidates every summary whose behaviour
 could change, with no invalidation protocol.
+
+Work whose input never changes is done once per input object: a
+procedure's own body is pickled once per :class:`Proc` and a memory
+value is digested once per object (both are frozen).  These memos hold
+their objects weakly, so an entry dies with its program or state.  The
+transitive walks that depend on the rest of the program — the body hash
+and purity — stay per engine, so a replaced procedure never reuses a
+stale verdict.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
+import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.gil.semantics import OutcomeKind
 from repro.gil.syntax import ActionCall, Call, ISym, Proc, Prog, USym
@@ -118,6 +127,109 @@ def static_callee(cmd: Call) -> Optional[str]:
     return None
 
 
+class _MemoEntry(weakref.ref):
+    """A weak reference to a memoised object, carrying its value."""
+
+    __slots__ = ("key", "value")
+
+    def __new__(cls, obj, callback, key: int, value):
+        self = super().__new__(cls, obj, callback)
+        self.key = key
+        self.value = value
+        return self
+
+    def __init__(self, obj, callback, key: int, value) -> None:
+        super().__init__(obj, callback)
+
+
+class _ObjectMemo:
+    """``fn(obj)`` computed once per object, for immutable objects.
+
+    Entries are keyed by identity and hold their object weakly: an entry
+    is dropped when its object is collected, so a recycled ``id`` never
+    serves a stale value and the memo never keeps a program or a state
+    alive.  Objects that cannot be weakly referenced (plain dicts,
+    ``None``) are recomputed on every call.
+    """
+
+    __slots__ = ("_fn", "_entries")
+
+    def __init__(self, fn: Callable[[object], object]) -> None:
+        self._fn = fn
+        self._entries: Dict[int, _MemoEntry] = {}
+
+    def __call__(self, obj):
+        """``fn(obj)``, from the memo when ``obj`` was seen before."""
+        entry = self._entries.get(id(obj))
+        if entry is not None and entry() is obj:
+            return entry.value
+        value = self._fn(obj)
+        try:
+            self._entries[id(obj)] = _MemoEntry(obj, self._drop, id(obj), value)
+        except TypeError:
+            pass  # not weakly referenceable: never memoised
+        return value
+
+    def _drop(self, entry: _MemoEntry) -> None:
+        """``entry``'s object died: forget it (unless since replaced)."""
+        if self._entries.get(entry.key) is entry:
+            del self._entries[entry.key]
+
+
+@dataclass(frozen=True)
+class _BodyFacts:
+    """What a procedure's own body says, whatever program holds it."""
+
+    #: SHA-256 state after the pickled ``(name, params, body)``; copied,
+    #: then fed the callee hashes, by :func:`proc_hash`
+    digest: object
+    #: static callee names in body order, repeats kept
+    callees: Tuple[str, ...]
+    #: no memory action, fresh-symbol command or dynamic call
+    local_pure: bool
+
+
+def _body_facts(proc: Proc, name: Optional[str] = None) -> _BodyFacts:
+    """Scan ``proc``'s body once, registered under ``name``.
+
+    The name is pickled as the string object a call site names it by,
+    the value of the interned ``Lit(name)``: pickle shares repeated
+    objects, so a recursive body's own call names it by reference, and
+    the bytes must not depend on which equal string the caller held.
+    """
+    name = Lit(proc.name if name is None else name).value
+    digest = hashlib.sha256(
+        pickle.dumps((name, proc.params, proc.body), protocol=_PICKLE_PROTOCOL)
+    )
+    callees: List[str] = []
+    local_pure = True
+    for cmd in proc.body:
+        if isinstance(cmd, (ActionCall, USym, ISym)):
+            local_pure = False
+        elif isinstance(cmd, Call):
+            callee = static_callee(cmd)
+            if callee is None:
+                local_pure = False
+            else:
+                callees.append(callee)
+    return _BodyFacts(digest, tuple(callees), local_pure)
+
+
+#: per :class:`Proc` object (frozen), the facts of its body under its
+#: own name
+_BODY_FACTS = _ObjectMemo(_body_facts)
+
+
+def _facts(prog: Prog, name: str) -> Optional[_BodyFacts]:
+    """Body facts of procedure ``name`` of ``prog`` (None if absent)."""
+    proc = prog.get(name)
+    if proc is None:
+        return None
+    if proc.name == name:
+        return _BODY_FACTS(proc)
+    return _body_facts(proc, name)  # registered under a foreign key
+
+
 def classify_pure(prog: Prog) -> Dict[str, bool]:
     """Which procedures are *transitively pure* (pure-tier eligible).
 
@@ -126,6 +238,10 @@ def classify_pure(prog: Prog) -> Dict[str, bool]:
     pure procedure.  ``fail``/``vanish`` are allowed — a pure body may
     still end paths.  Cycles (recursion) classify as impure: replaying
     a recursive summary would need a fixpoint this layer does not take.
+
+    This walks every procedure's body directly; the engine asks
+    :func:`is_pure` for the procedures a run actually calls, and the
+    tests hold the two to the same verdicts.
     """
     verdicts: Dict[str, bool] = {}
     in_flight: Set[str] = set()
@@ -160,6 +276,37 @@ def classify_pure(prog: Prog) -> Dict[str, bool]:
     return verdicts
 
 
+def is_pure(prog: Prog, name: str, verdicts: Dict[str, bool]) -> bool:
+    """:func:`classify_pure`'s verdict for ``name`` alone, walking only
+    what ``name`` reaches.
+
+    ``verdicts`` memoises across calls on the same program.  Verdicts
+    do not depend on visit order: a walk that re-enters a procedure
+    still in flight has found a cycle through every procedure on the
+    way back, and each of those is impure whichever one the walk began
+    at.
+    """
+    in_flight: Set[str] = set()
+
+    def visit(pname: str) -> bool:
+        """Purity of ``pname``, memoised; cycles conservatively impure."""
+        known = verdicts.get(pname)
+        if known is not None:
+            return known
+        if pname in in_flight:
+            return False
+        facts = _facts(prog, pname)
+        if facts is None:
+            return False
+        in_flight.add(pname)
+        pure = facts.local_pure and all(visit(c) for c in facts.callees)
+        in_flight.discard(pname)
+        verdicts[pname] = pure
+        return pure
+
+    return visit(name)
+
+
 def proc_hash(prog: Prog, name: str, memo: Optional[Dict[str, str]] = None) -> str:
     """Content hash of ``name`` covering its transitive static callees.
 
@@ -170,6 +317,9 @@ def proc_hash(prog: Prog, name: str, memo: Optional[Dict[str, str]] = None) -> s
     cycles are broken by hashing the callee's *name* on re-entry, which
     keeps the hash well-defined (cycle members still cover each other's
     bodies through the non-cyclic part of the walk).
+
+    Each body is pickled once per :class:`Proc` object; ``memo`` holds
+    the transitive hashes of one program (one engine's).
     """
     if memo is None:
         memo = {}
@@ -181,19 +331,13 @@ def proc_hash(prog: Prog, name: str, memo: Optional[Dict[str, str]] = None) -> s
             return known
         if pname in in_flight:
             return "cycle:" + pname
-        proc = prog.get(pname)
-        if proc is None:
+        facts = _facts(prog, pname)
+        if facts is None:
             return "missing:" + pname
         in_flight.add(pname)
-        digest = hashlib.sha256()
-        digest.update(
-            pickle.dumps((pname, proc.params, proc.body), protocol=_PICKLE_PROTOCOL)
-        )
-        for cmd in proc.body:
-            if isinstance(cmd, Call):
-                callee = static_callee(cmd)
-                if callee is not None:
-                    digest.update(visit(callee, in_flight).encode())
+        digest = facts.digest.copy()
+        for callee in facts.callees:
+            digest.update(visit(callee, in_flight).encode())
         in_flight.discard(pname)
         result = digest.hexdigest()
         memo[pname] = result
@@ -207,18 +351,30 @@ def pure_key(phash: str, salt: str) -> str:
     return hashlib.sha256(f"pure:{phash}:{salt}".encode()).hexdigest()
 
 
+def _pickle_digest(value) -> bytes:
+    """SHA-256 of ``value``'s pinned-protocol pickle."""
+    return hashlib.sha256(pickle.dumps(value, protocol=_PICKLE_PROTOCOL)).digest()
+
+
+#: per memory value (frozen, so its pickle never changes), its digest
+_MEMORY_DIGESTS = _ObjectMemo(_pickle_digest)
+
+
 def exact_key(phash: str, args: List[object], memory, alloc, salt: str) -> str:
     """Cache key for an exact-tier summary: the full pre-state.
 
-    Hashes the pickled (proc hash, evaluated arguments, memory,
-    allocation record, salt) tuple.  Pickle forms are canonical for the
-    engine's own types (states sort their stores, expressions and path
-    conditions re-intern structurally), so equal pre-states built in the
-    same order key identically; an incidental representation difference
-    costs a cache miss, never a wrong hit.
+    Hashes the pickled (proc hash, evaluated arguments, memory digest,
+    allocation record, salt) tuple, where the memory digest is the
+    SHA-256 of the memory's own pickle, computed once per memory object.
+    Pickle forms are canonical for the engine's own types (states sort
+    their stores, expressions and path conditions re-intern
+    structurally), so equal pre-states built in the same order key
+    identically; an incidental representation difference costs a cache
+    miss, never a wrong hit.
     """
     payload = pickle.dumps(
-        (phash, tuple(args), memory, alloc, salt), protocol=_PICKLE_PROTOCOL
+        (phash, tuple(args), _MEMORY_DIGESTS(memory), alloc, salt),
+        protocol=_PICKLE_PROTOCOL,
     )
     return hashlib.sha256(payload).hexdigest()
 
@@ -247,19 +403,9 @@ def engine_salt(sm, config) -> str:
             model,
             getattr(sm.allocator, "namespace", ""),
             sm.unknown_policy,
-            getattr(config, "solver_step_budget", None),
-            getattr(config, "summary_max_commands", 0),
-            getattr(config, "summary_max_paths", 0),
+            config.solver_step_budget,
+            config.summary_max_commands,
+            config.summary_max_paths,
         )
     )
 
-
-def proc_names_of(proc: Proc) -> Tuple[str, ...]:
-    """The static callee names a procedure's body mentions (deduplicated)."""
-    seen: List[str] = []
-    for cmd in proc.body:
-        if isinstance(cmd, Call):
-            callee = static_callee(cmd)
-            if callee is not None and callee not in seen:
-                seen.append(callee)
-    return tuple(seen)

@@ -2,6 +2,7 @@
 pickle-safety layer underneath it: expression re-interning, path-condition
 delta re-linking, state serialization, and the deterministic merge."""
 
+import multiprocessing
 import pickle
 
 import pytest
@@ -219,6 +220,23 @@ class TestParallelExplorer:
         result = self.run_at(2)
         assert result.stats.commands_executed == reference.stats.commands_executed
         assert result.stats.paths_finished == reference.stats.paths_finished
+
+    def test_spawned_workers_agree_with_forked(self):
+        # Under spawn the program crosses to the workers pickled, as a
+        # process argument; under fork they inherit it.  Both must find
+        # the same finals.
+        prog = branching_prog(3)
+        forked = ParallelExplorer(
+            prog, sym_model(), EngineConfig(), workers=2, seed_factor=1,
+            mp_context=multiprocessing.get_context("fork"),
+        ).run("main")
+        spawned = ParallelExplorer(
+            prog, sym_model(), EngineConfig(), workers=2, seed_factor=1,
+            mp_context=multiprocessing.get_context("spawn"),
+        ).run("main")
+        assert keys(spawned) == keys(forked) == keys(self.run_at(1))
+        assert spawned.stats.commands_executed == forked.stats.commands_executed
+        assert spawned.stats.stop_reason == "exhausted"
 
     def test_workers_one_is_plain_sequential(self):
         prog = branching_prog()

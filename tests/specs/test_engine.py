@@ -4,11 +4,18 @@ counters and events, recursion, incomplete-summary rejection, and the
 construction gates (repro.specs.engine)."""
 
 import dataclasses
+import pickle
 
 import pytest
 
 from repro.engine.config import EngineConfig, javert2_baseline
-from repro.engine.events import EventBus, SummaryHit, SummaryMiss, SummaryReplay
+from repro.engine.events import (
+    EventBus,
+    SummariesDisabled,
+    SummaryHit,
+    SummaryMiss,
+    SummaryReplay,
+)
 from repro.engine.explorer import Explorer
 from repro.engine.parallel import SymbolicModelFactory
 from repro.engine.results import final_sort_key
@@ -32,7 +39,7 @@ from repro.targets.while_lang.memory import (
     WhileConcreteMemory,
     WhileSymbolicMemory,
 )
-from repro.testing.faults import FaultPlan
+from repro.testing.faults import ActionFault, FaultPlan
 
 
 def prog_of(*procs):
@@ -242,24 +249,52 @@ class TestIncompleteSummaries:
         assert "incomplete" in reasons
 
 
+def recording_bus():
+    """A bus recording every ``SummariesDisabled`` event into a list."""
+    bus, seen = EventBus(), []
+    bus.subscribe(seen.append, kinds=(SummariesDisabled,))
+    return bus, seen
+
+
 class TestConstructionGates:
     def test_requires_stock_symbolic_model(self):
         prog = prog_of(Proc("main", (), (Return(Lit(1)),)))
         cfg = EngineConfig(summaries=True)
+        bus, seen = recording_bus()
         concrete = ConcreteStateModel(WhileConcreteMemory())
-        assert make_summary_engine(prog, concrete, cfg) is None
+        assert make_summary_engine(prog, concrete, cfg, events=bus) is None
+        # Concrete runs never branch: refused silently, by design.
+        assert seen == []
 
         class Custom(SymbolicStateModel):
             """A subclass (may override proper actions): not covered."""
 
         custom = Custom(WhileSymbolicMemory())
-        assert make_summary_engine(prog, custom, cfg) is None
+        assert make_summary_engine(prog, custom, cfg, events=bus) is None
+        assert seen == [SummariesDisabled("state-model:Custom")]
         assert (
             make_summary_engine(
-                prog, SymbolicStateModel(WhileSymbolicMemory()), cfg
+                prog, SymbolicStateModel(WhileSymbolicMemory()), cfg, events=bus
             )
             is not None
         )
+        assert len(seen) == 1
+
+    def test_subclassed_model_refusal_reaches_the_explorer_bus(self):
+        class Custom(SymbolicStateModel):
+            """A subclass (may override proper actions): not covered."""
+
+        prog = prog_of(Proc("main", (), (Return(Lit(1)),)))
+        bus, seen = recording_bus()
+        explorer = Explorer(
+            prog, Custom(WhileSymbolicMemory()), EngineConfig(summaries=True),
+            events=bus,
+        )
+        assert explorer._summaries is None
+        assert seen == [SummariesDisabled("state-model:Custom")]
+        # Summaries off: nothing was refused, nothing is reported.
+        Explorer(prog, Custom(WhileSymbolicMemory()), EngineConfig(), events=bus)
+        assert len(seen) == 1
 
     def test_fault_injection_disables_summaries(self):
         prog = prog_of(Proc("main", (), (Return(Lit(1)),)))
@@ -272,6 +307,26 @@ class TestConstructionGates:
         explorer = Explorer(prog, SymbolicStateModel(WhileSymbolicMemory()), cfg)
         assert explorer._summaries is not None
 
+    def test_fault_injection_refusal_is_reported(self):
+        prog = prog_of(Proc("main", (), (Return(Lit(1)),)))
+        plan = FaultPlan(action_faults=(ActionFault(0),))
+        bus, seen = recording_bus()
+        explorer = Explorer(
+            prog, SymbolicStateModel(WhileSymbolicMemory()),
+            EngineConfig(summaries=True, fault_plan=plan), events=bus,
+        )
+        assert explorer.faults is not None and explorer._summaries is None
+        assert seen == [SummariesDisabled("fault-plan")]
+        # A plan with no fault for this process installs no injector:
+        # summaries run, and nothing is reported.
+        quiet = FaultPlan(action_faults=(ActionFault(0, worker=3),))
+        explorer = Explorer(
+            prog, SymbolicStateModel(WhileSymbolicMemory()),
+            EngineConfig(summaries=True, fault_plan=quiet), events=bus,
+        )
+        assert explorer._summaries is not None
+        assert len(seen) == 1
+
     def test_summaries_off_by_default(self):
         prog = prog_of(Proc("main", (), (Return(Lit(1)),)))
         explorer = Explorer(prog, SymbolicStateModel(WhileSymbolicMemory()))
@@ -282,6 +337,50 @@ class TestConstructionGates:
             EngineConfig(summary_mode="sideways")
         with pytest.raises(ValueError):
             EngineConfig(summary_max_paths=0)
+
+
+class TestProgramCopies:
+    @staticmethod
+    def run_suites(suites):
+        """Every test of ``suites`` with summaries on, in order, from a
+        cold summary cache: per-test finals digest and summary counters."""
+        clear_summary_cache()
+        cfg = EngineConfig(summaries=True)
+        rows = []
+        for language, prog, tests in suites:
+            for entry in tests:
+                sm = SymbolicStateModel(language.symbolic_memory())
+                result = Explorer(prog, sm, cfg).run(entry)
+                stats = result.stats
+                rows.append((
+                    entry,
+                    digest(result),
+                    stats.summary_hits,
+                    stats.summary_misses,
+                    stats.summary_build_commands,
+                    stats.summary_replays,
+                ))
+        return rows
+
+    def test_pickled_copy_runs_the_same(self, table_programs):
+        # The copy's procedures and memories are new objects, so none of
+        # the per-object memos (body facts, memory digests) filled by the
+        # original's run can serve it.
+        chosen = [
+            (language, prog, tests)
+            for label, language, prog, tests in table_programs
+            if label in ("table1/bst", "table2/list")
+        ]
+        assert len(chosen) == 2
+        copies = [
+            (language, pickle.loads(pickle.dumps(prog)), tests)
+            for language, prog, tests in chosen
+        ]
+        for (_, prog, _), (_, copy, _) in zip(chosen, copies):
+            assert not any(copy.procs[n] is prog.procs[n] for n in prog.procs)
+        original = self.run_suites(chosen)
+        assert sum(row[-1] for row in original) > 0  # summaries replayed
+        assert self.run_suites(copies) == original
 
 
 class TestDynamicCallees:

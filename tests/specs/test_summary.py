@@ -1,6 +1,10 @@
 """Tests for summary records, purity classification, and cache keys
 (repro.specs.summary)."""
 
+import gc
+import hashlib
+import pickle
+
 from repro.gil.syntax import (
     ActionCall,
     Assignment,
@@ -20,6 +24,7 @@ from repro.specs.summary import (
     classify_pure,
     engine_salt,
     exact_key,
+    is_pure,
     proc_hash,
     pure_key,
     spec_arg,
@@ -114,6 +119,95 @@ class TestClassifyPure:
         assert classify_pure(prog)["f"] is False
 
 
+def reference_proc_hash(prog, name, memo):
+    """:func:`proc_hash` as first written: every visit pickles the body
+    afresh, with no per-procedure memo.  Like the engine, pass the name
+    as a call site holds it, ``Lit(name).value``."""
+
+    def visit(pname, in_flight):
+        known = memo.get(pname)
+        if known is not None:
+            return known
+        if pname in in_flight:
+            return "cycle:" + pname
+        proc = prog.get(pname)
+        if proc is None:
+            return "missing:" + pname
+        in_flight.add(pname)
+        digest = hashlib.sha256(
+            pickle.dumps((pname, proc.params, proc.body), protocol=4)
+        )
+        for cmd in proc.body:
+            if isinstance(cmd, Call):
+                callee = static_callee(cmd)
+                if callee is not None:
+                    digest.update(visit(callee, in_flight).encode())
+        in_flight.discard(pname)
+        memo[pname] = result = digest.hexdigest()
+        return result
+
+    return visit(name, set())
+
+
+def transitive_callers(prog, target):
+    """Every procedure whose static call tree reaches ``target``."""
+    callers = {target}
+    changed = True
+    while changed:
+        changed = False
+        for name, proc in prog.procs.items():
+            if name in callers:
+                continue
+            if any(
+                isinstance(cmd, Call) and static_callee(cmd) in callers
+                for cmd in proc.body
+            ):
+                callers.add(name)
+                changed = True
+    return callers - {target}
+
+
+class TestLazyPurity:
+    def test_agrees_with_classify_pure_on_table_programs(self, table_programs):
+        seen = set()
+        for label, _, prog, _ in table_programs:
+            reference = classify_pure(prog)
+            seen.update(reference.values())
+            shared = {}
+            # Reverse order first: verdicts memoised mid-walk must not
+            # depend on which procedure the engine asked about first.
+            for name in reversed(list(prog.procs)):
+                assert is_pure(prog, name, shared) == reference[name], (label, name)
+            for name in prog.procs:
+                assert is_pure(prog, name, {}) == reference[name], (label, name)
+        assert seen == {True, False}
+
+    def test_only_reached_procedures_are_classified(self):
+        prog = prog_of(
+            ret_proc("leaf"),
+            Proc("mid", ("a",), (
+                Call("r", Lit("leaf"), (PVar("a"),)),
+                Return(PVar("r")),
+            )),
+            Proc("other", (), (USym("o", 0), Return(PVar("o")))),
+        )
+        verdicts = {}
+        assert is_pure(prog, "mid", verdicts)
+        assert verdicts == {"leaf": True, "mid": True}
+
+    def test_mutual_recursion_is_impure_from_either_end(self):
+        prog = prog_of(
+            Proc("f", ("a",), (Call("r", Lit("g"), (PVar("a"),)), Return(PVar("r")))),
+            Proc("g", ("a",), (Call("r", Lit("f"), (PVar("a"),)), Return(PVar("r")))),
+            ret_proc("h"),
+        )
+        for first in ("f", "g"):
+            verdicts = {}
+            assert not is_pure(prog, first, verdicts)
+            assert verdicts == {"f": False, "g": False}
+            assert is_pure(prog, "h", verdicts)
+
+
 class TestProcHash:
     def test_deterministic(self):
         prog = prog_of(ret_proc("f"))
@@ -159,6 +253,56 @@ class TestProcHash:
         )
         assert proc_hash(prog, "f") == proc_hash(prog, "f")
 
+    def test_equals_reference_on_table_programs(self, table_programs):
+        for label, _, prog, _ in table_programs:
+            # One shared memo per program, as an engine keeps; twice, so
+            # the second pass reads every body from the per-Proc memo.
+            for _ in range(2):
+                memo, ref_memo = {}, {}
+                for name in prog.procs:
+                    assert proc_hash(prog, name, memo) == reference_proc_hash(
+                        prog, Lit(name).value, ref_memo
+                    ), (label, name)
+            for name in prog.procs:
+                assert proc_hash(prog, name) == reference_proc_hash(
+                    prog, Lit(name).value, {}
+                ), (label, name)
+
+    def test_replacing_a_procedure_rehashes_it_and_its_callers(
+        self, table_programs
+    ):
+        label, _, prog, _ = next(
+            p for p in table_programs if p[0] == "table2/list"
+        )
+        copy = pickle.loads(pickle.dumps(prog))
+        before = {name: proc_hash(copy, name) for name in copy.procs}
+        target = max(
+            copy.procs, key=lambda name: len(transitive_callers(copy, name))
+        )
+        callers = transitive_callers(copy, target)
+        assert callers, label
+        old = copy.procs[target]
+        copy.procs[target] = Proc(
+            old.name, old.params, old.body + (Return(Lit("edited")),)
+        )
+        after = {name: proc_hash(copy, name) for name in copy.procs}
+        changed = {name for name in copy.procs if before[name] != after[name]}
+        assert changed == callers | {target}
+        # Restoring the original body restores every hash.
+        copy.procs[target] = old
+        assert {name: proc_hash(copy, name) for name in copy.procs} == before
+
+    def test_body_memo_dies_with_its_program(self):
+        from repro.specs import summary
+
+        prog = prog_of(ret_proc("f", value=Lit(41)))
+        proc_hash(prog, "f")
+        key = id(prog.procs["f"])
+        assert key in summary._BODY_FACTS._entries
+        del prog
+        gc.collect()
+        assert key not in summary._BODY_FACTS._entries
+
     def test_memo_is_per_program(self):
         a = prog_of(ret_proc("f", value=Lit(1)))
         b = prog_of(ret_proc("f", value=Lit(2)))
@@ -182,6 +326,39 @@ class TestKeys:
         assert exact_key("h", [], {"a": 1}, None, "s") != exact_key(
             "h", [], {"a": 2}, None, "s"
         )
+
+    def test_equal_distinct_memories_key_equal(self):
+        import repro
+        from repro.state.symbolic import SymbolicStateModel
+
+        for language in (
+            repro.WhileLanguage,
+            repro.MiniJSLanguage,
+            repro.MiniCLanguage,
+            repro.MiniRustLanguage,
+        ):
+            memory = SymbolicStateModel(
+                language().symbolic_memory()
+            ).initial_state().memory
+            twin = pickle.loads(pickle.dumps(memory))
+            assert twin is not memory and twin == memory
+            assert exact_key("h", [Lit(1)], memory, None, "s") == exact_key(
+                "h", [Lit(1)], twin, None, "s"
+            ), language.__name__
+
+    def test_one_cell_difference_changes_the_key(self):
+        from repro.logic.expr import LVar
+        from repro.targets.while_lang.memory import SymWhileMemory
+
+        def memory(value):
+            return SymWhileMemory(
+                (((LVar("loc_0"), "p"), Lit(1)), ((LVar("loc_0"), "q"), value))
+            )
+
+        base = exact_key("h", [], memory(Lit(2)), None, "s")
+        assert exact_key("h", [], memory(Lit(2)), None, "s") == base
+        assert exact_key("h", [], memory(Lit(3)), None, "s") != base
+        assert exact_key("h", [], memory(LVar("x")), None, "s") != base
 
     def test_keys_are_hex(self):
         key = exact_key("h", [], None, None, "s")
