@@ -119,9 +119,9 @@ class EngineConfig:
     #: granularity of crash detection)
     worker_result_poll: float = 0.2
     #: compositional execution via function summaries
-    #: (:mod:`repro.specs`): a procedure is executed once against a
-    #: ``π = true`` pre-state and replayed at call sites from a
-    #: content-addressed cache.  Off by default; applies only to the
+    #: (:mod:`repro.specs`): a pure procedure is executed once against
+    #: fresh symbolic arguments under ``π = true`` and replayed at call
+    #: sites from a content-addressed cache; other calls run inline.  Off by default; applies only to the
     #: stock symbolic state model, and is ignored (never constructed)
     #: when a fault plan is installed.  With the default ``verify``
     #: mode the finals multiset is identical on vs off — the

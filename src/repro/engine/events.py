@@ -18,9 +18,9 @@ Events are small frozen dataclasses:
 * :class:`ShardRetryEvent` / :class:`ShardLostEvent` — a parallel shard
   crashed and was retried, or exhausted its retries and was abandoned;
 * :class:`SummaryHit` / :class:`SummaryMiss` / :class:`SummaryReplay` —
-  a ``Call`` was served from the function-summary cache, could not be,
-  or was answered by replaying a summary's recorded paths (emitted from
-  :mod:`repro.specs.engine`);
+  a call to a pure procedure was served from the function-summary
+  cache, could not be, or was answered by replaying a summary's
+  recorded paths (emitted from :mod:`repro.specs.engine`);
 * :class:`SummariesDisabled` — summaries were requested but an explorer
   runs without them (a fault injector, or a subclassed symbolic state
   model);
@@ -124,21 +124,23 @@ class SummaryHit:
     """A ``Call`` found a usable summary in the cache."""
 
     proc: str    # the summarised callee
-    tier: str    # "pure" (abstract summary) | "exact" (pre-state memo)
     source: str  # "memory" | "disk" (which cache level answered)
     paths: int   # recorded paths in the summary
 
 
 @dataclass(frozen=True)
 class SummaryMiss:
-    """A ``Call`` could not be served from the summary cache.
+    """A call to a pure procedure could not be served from the summary
+    cache.
 
-    ``"cold"`` misses are followed by a summarisation run (and then a
-    replay); the other reasons fall back to inline descent.
+    ``"cold"`` and ``"corrupt"`` misses are followed by a summarisation
+    run (and then a replay when the new summary is usable);
+    ``"incomplete"`` falls back to inline descent.  Calls to impure
+    procedures are never summarised and emit nothing.
     """
 
     proc: str    # the callee
-    reason: str  # "cold" | "incomplete" | "recursive" | "corrupt"
+    reason: str  # "cold" | "incomplete" | "corrupt"
 
 
 @dataclass(frozen=True)

@@ -177,8 +177,9 @@ class ExecutionStats:
     wall_time: float = 0.0
     #: call sites served from an already-recorded summary (memory/disk)
     summary_hits: int = 0
-    #: call sites a summary could not answer (cold, incomplete-in-verify,
-    #: recursive, corrupt disk entry)
+    #: calls to pure procedures a summary could not answer (cold,
+    #: corrupt disk entry, incomplete in verify mode); calls to impure
+    #: procedures run inline and are not counted
     summary_misses: int = 0
     #: call sites answered by summary replay (hits plus freshly-built)
     summary_replays: int = 0

@@ -129,11 +129,10 @@ class SummaryStore(ContentStore):
     """The durable function-summary cache: summary key → pickled
     :class:`~repro.specs.summary.Summary`.
 
-    Keys are content hashes over the procedure's transitive code hash
-    plus (for the exact tier) the pickled pre-state, salted with the
-    engine format version and configuration — so summaries persist
-    across processes and runs, and a code or engine change simply misses
-    to a fresh key.  The inherited corrupt-entry handling is the
+    Keys are content hashes over the procedure's transitive code hash,
+    salted with the engine format version and configuration — so
+    summaries persist across processes and runs, and a code or engine
+    change simply misses to a fresh key.  The inherited corrupt-entry handling is the
     integrity story: a torn or bit-flipped frame is evicted on read,
     reported through ``on_corrupt``, and recomputed — a damaged summary
     is never replayed.

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional
 
 from repro.engine.config import EngineConfig
 from repro.engine.explorer import Explorer
+from repro.engine.parallel import SymbolicModelFactory
 from repro.gil.ops import EvalError, evaluate
 from repro.gil.semantics import Final, OutcomeKind
 from repro.gil.syntax import Prog
@@ -31,7 +32,6 @@ from repro.logic.expr import Expr
 from repro.logic.solver import Solver
 from repro.state.allocator import ConcreteAllocator
 from repro.state.concrete import ConcreteStateModel
-from repro.state.symbolic import SymbolicStateModel
 from repro.targets.language import Language
 
 
@@ -73,17 +73,24 @@ def check_trace_soundness(
     entry: str,
     config: Optional[EngineConfig] = None,
 ) -> DifferentialReport:
-    """Symbolically execute ``entry``; replay every final concretely."""
+    """Symbolically execute ``entry``; replay every final concretely.
+
+    The symbolic side's solver and state model follow ``config`` (step
+    budget, UNKNOWN policy, cache flags, phase profiling), so the
+    report checks exactly the finals an :class:`Explorer` built from
+    the same configuration produces.
+    """
     config = config if config is not None else EngineConfig()
-    solver = Solver()
-    sym_sm = SymbolicStateModel(language.symbolic_memory(), solver=solver)
+    sym_sm = SymbolicModelFactory(language.symbolic_memory(), config)()
     sym_result = Explorer(prog, sym_sm, config).run(entry)
 
     report = DifferentialReport()
     for fin in sym_result.finals:
         if fin.kind is OutcomeKind.VANISH:
             continue
-        report.checks.append(check_final(language, prog, entry, fin, solver, config))
+        report.checks.append(
+            check_final(language, prog, entry, fin, sym_sm.solver, config)
+        )
     return report
 
 

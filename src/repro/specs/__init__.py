@@ -4,11 +4,12 @@ The follow-on Gillian papers (*Compositional Symbolic Execution for
 All*, arXiv 2001.05059; *Correctness and Incorrectness Reasoning*,
 arXiv 2407.10838) turn whole-program symbolic execution compositional:
 execute a procedure *once*, record a **summary** — per-path outcome
-value, path-condition delta, and memory footprint over a symbolic
-pre-state — and *replay* the summary at call sites instead of
-descending into the callee.
+value and path-condition delta over symbolic arguments — and *replay*
+the summary at call sites instead of descending into the callee.
 
-This package is that layer for the GIL engine:
+This package is that layer for the GIL engine, for *pure* procedures
+(no memory action, no fresh symbol, only static calls to pure
+procedures); every other call runs inline:
 
 * :mod:`repro.specs.summary` — the :class:`Summary` record, purity
   classification, and content-addressed cache keys;

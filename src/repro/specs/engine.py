@@ -4,13 +4,16 @@ The interpreter (:func:`repro.gil.semantics.step`) consults an attached
 :class:`SummaryEngine` when the current command is a ``Call``.
 :meth:`SummaryEngine.try_call` answers with the call's successor
 configurations and finals (a *replay*), or ``None`` to fall back to
-ordinary inline descent.
+ordinary inline descent.  Only pure procedures are summarised; a call
+to any other procedure is inline descent after one memoised purity
+lookup, with no key, counter or event.
 
-Replay is sound because a recorded path's values and memory never
-depend on the caller's path condition π — π only gates feasibility.  A
-summary is recorded from an entry condition of ``true``; at a call site
-each recorded path's delta is re-checked against the *caller's* π
-(batched, through the state model's UNKNOWN policy, exactly like
+Replay is sound because a pure procedure's recorded values and deltas
+depend only on its arguments, never on the caller's path condition π —
+π only gates feasibility.  A summary is recorded from an entry
+condition of ``true``; at a call site each recorded path's delta, with
+the actual arguments substituted, is re-checked against the *caller's*
+π (batched, through the state model's UNKNOWN policy, exactly like
 ``branch_on``), so the feasible subset replayed equals the subset
 inline execution would have kept.  The differential fuzz arm asserts
 the resulting finals multiset is identical summaries-on vs -off across
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import List, Optional, Tuple
 
 from repro.engine.events import (
@@ -47,17 +49,12 @@ from repro.specs.summary import (
     Summary,
     SummaryPath,
     engine_salt,
-    exact_key,
     is_pure,
     proc_hash,
     pure_key,
     spec_arg,
     static_callee,
 )
-from repro.state.symbolic import SymbolicState
-
-_NO_CONFIGS: tuple = ()
-_NO_FINALS: tuple = ()
 
 
 @dataclass
@@ -88,7 +85,7 @@ class SummaryCounters:
 
 
 class SummaryEngine:
-    """Summarises procedures on first call and replays them thereafter.
+    """Summarises pure procedures on first call and replays them thereafter.
 
     One engine serves one ``(prog, state model, config)`` triple; the
     summaries themselves live in the process-wide content-addressed
@@ -111,7 +108,6 @@ class SummaryEngine:
         self._hash_memo: dict = {}
         self._sub_config = None
         self._salt = engine_salt(sm, config)
-        self._in_progress: set = set()
         self._cache = SummaryCache(config.summary_dir, on_corrupt=self._on_corrupt)
 
     # -- cache plumbing ------------------------------------------------------
@@ -127,9 +123,8 @@ class SummaryEngine:
 
         Returns ``(configs, finals)`` shaped exactly like a stepper's
         result: one successor configuration per feasible normal path
-        (caller store intact, return variable bound, post memory and
-        allocation record applied) and one final per feasible error
-        path.
+        (caller memory, allocation record and store intact, return
+        variable bound) and one final per feasible error path.
         """
         sm = self.sm
         name = static_callee(cmd)
@@ -147,24 +142,14 @@ class SummaryEngine:
         proc = self.prog.get(name)
         if proc is None or len(cmd.args) != len(proc.params):
             return None  # inline descent reports the error final
-        if name in self._in_progress:
-            self._miss(name, "recursive")
-            return None
+        if not is_pure(self.prog, name, self._pure):
+            return None  # impure: plain inline descent
         try:
             args = [sm.eval_expr(state, a) for a in cmd.args]
         except EvalError:
             return None
 
-        phash = proc_hash(self.prog, name, self._hash_memo)
-        if is_pure(self.prog, name, self._pure):
-            tier = "pure"
-            key = pure_key(phash, self._salt)
-        else:
-            tier = "exact"
-            try:
-                key = exact_key(phash, args, state.memory, state.alloc, self._salt)
-            except Exception:
-                return None  # unhashable pre-state: run inline
+        key = pure_key(proc_hash(self.prog, name, self._hash_memo), self._salt)
         source = self._cache.source_of(key)
         summary = self._cache.get(key)
         if summary is not None and not summary.usable(self.mode):
@@ -172,15 +157,13 @@ class SummaryEngine:
             return None
         if summary is None:
             self._miss(name, "cold" if source == "cold" else "corrupt")
-            summary = self._summarize(name, proc, tier, key, args, state)
-            if summary is None or not summary.usable(self.mode):
+            summary = self._summarize(name, proc, key)
+            if not summary.usable(self.mode):
                 return None
         else:
             self.counters.hits += 1
             if self.events:
-                self.events.emit(
-                    SummaryHit(name, tier, source, len(summary.paths))
-                )
+                self.events.emit(SummaryHit(name, source, len(summary.paths)))
         return self._replay(summary, state, stack, idx, cmd.target, args)
 
     def _miss(self, name: str, reason: str) -> None:
@@ -194,11 +177,12 @@ class SummaryEngine:
     def _sub_explorer(self):
         """A bounded explorer for one summarisation run.
 
-        The sub-run shares this engine (nested calls replay from the
-        cache; direct recursion is broken by the in-progress guard) but
-        runs under the summarisation budgets, sequentially, with faults
-        and the outer deadline stripped.  That configuration is built on
-        the engine's first summarisation and reused for the rest.
+        The sub-run shares this engine (nested calls, all to pure
+        procedures, replay from the cache; a pure procedure is never on
+        a call cycle, so no run re-enters itself) but runs under the
+        summarisation budgets, sequentially, with faults and the outer
+        deadline stripped.  That configuration is built on the engine's
+        first summarisation and reused for the rest.
         """
         from repro.engine.explorer import Explorer
 
@@ -219,60 +203,25 @@ class SummaryEngine:
         explorer._summaries = self
         return explorer
 
-    def _summarize(
-        self, name: str, proc: Proc, tier: str, key: str, args: List, state
-    ) -> Optional[Summary]:
+    def _summarize(self, name: str, proc: Proc, key: str) -> Summary:
         """Execute ``proc`` once from a ``π = true`` pre-state and record it.
 
-        Pure tier: fresh canonical logical variables as arguments, empty
-        memory, fresh allocation record — the summary is pre-state
-        independent.  Exact tier: the caller's memory and allocation
-        record with the actual arguments — the recorded post-states are
-        the very objects inline execution would produce, which is what
-        keeps finals digests bit-identical.
+        The arguments are fresh canonical logical variables and the
+        memory is empty, so the summary is independent of any caller's
+        pre-state.
         """
         sm = self.sm
-        if tier == "pure":
-            entry = sm.initial_state()
-            binding = {p: spec_arg(i) for i, p in enumerate(proc.params)}
-        else:
-            entry = SymbolicState(
-                state.memory, MappingProxyType({}), state.alloc, PathCondition.true()
-            )
-            binding = dict(zip(proc.params, args))
-        entry = sm.set_store(entry, binding)
-        self._in_progress.add(name)
-        try:
-            result = self._sub_explorer().explore(
-                [Config(entry, (TopFrame(name),), 0)]
-            )
-        finally:
-            self._in_progress.discard(name)
+        binding = {p: spec_arg(i) for i, p in enumerate(proc.params)}
+        entry = sm.set_store(sm.initial_state(), binding)
+        result = self._sub_explorer().explore([Config(entry, (TopFrame(name),), 0)])
         self.counters.build_commands += result.stats.commands_executed
-
-        paths = []
-        for fin in result.finals:
-            final_state = fin.state
-            if tier == "pure":
-                paths.append(
-                    SummaryPath(fin.kind, fin.value, final_state.pc.conjuncts)
-                )
-            else:
-                paths.append(
-                    SummaryPath(
-                        fin.kind,
-                        fin.value,
-                        final_state.pc.conjuncts,
-                        final_state.memory,
-                        final_state.alloc,
-                        tuple(sorted(final_state.store.items())),
-                    )
-                )
         summary = Summary(
             proc=name,
-            tier=tier,
             params=proc.params,
-            paths=tuple(paths),
+            paths=tuple(
+                SummaryPath(fin.kind, fin.value, fin.state.pc.conjuncts)
+                for fin in result.finals
+            ),
             # Complete = the sub-run drained with *every* path recorded:
             # no budget stop, no degraded solver decision, and no path
             # dropped (a max-paths eviction can drain the worklist and
@@ -290,47 +239,38 @@ class SummaryEngine:
     def _replay(self, summary: Summary, state, stack, idx: int, ret_var: str, args):
         """Branch the caller on the summary's feasible paths.
 
-        Staging substitutes arguments (pure tier) and conjoins each
-        path's delta onto the caller's π; admission then feasibility-
-        checks the extended conditions in one batched solver pass under
-        the state model's UNKNOWN policy — the same flow as
-        ``branch_on``, so degraded decisions count identically.
+        Staging substitutes the arguments and conjoins each path's delta
+        onto the caller's π; admission then feasibility-checks the
+        extended conditions in one batched solver pass under the state
+        model's UNKNOWN policy — the same flow as ``branch_on``, so
+        degraded decisions count identically.
         """
         sm = self.sm
+        env = {f"{SPEC_ARG_PREFIX}{i}": arg for i, arg in enumerate(args)}
+        simplify = sm.simplifier.simplify
         staged = []  # (path, value, new_pc)
         pending: List[PathCondition] = []
         try:
-            if summary.tier == "pure":
-                env = {
-                    f"{SPEC_ARG_PREFIX}{i}": arg for i, arg in enumerate(args)
-                }
-                simplify = sm.simplifier.simplify
-                for path in summary.paths:
-                    conjuncts = []
-                    dead = False
-                    for c in path.pc_delta:
-                        s = simplify(substitute_lvars(c, env))
-                        if s == FALSE:
-                            dead = True
-                            break
-                        if s == TRUE:
-                            continue
-                        conjuncts.append(s)
-                    if dead:
+            for path in summary.paths:
+                conjuncts = []
+                dead = False
+                for c in path.pc_delta:
+                    s = simplify(substitute_lvars(c, env))
+                    if s == FALSE:
+                        dead = True
+                        break
+                    if s == TRUE:
                         continue
-                    value = path.value
-                    if isinstance(value, Expr):
-                        value = simplify(substitute_lvars(value, env))
-                    new_pc = state.pc.conjoin_all(conjuncts)
-                    if new_pc is not state.pc:
-                        pending.append(new_pc)
-                    staged.append((path, value, new_pc))
-            else:
-                for path in summary.paths:
-                    new_pc = state.pc.conjoin_all(path.pc_delta)
-                    if new_pc is not state.pc:
-                        pending.append(new_pc)
-                    staged.append((path, path.value, new_pc))
+                    conjuncts.append(s)
+                if dead:
+                    continue
+                value = path.value
+                if isinstance(value, Expr):
+                    value = simplify(substitute_lvars(value, env))
+                new_pc = state.pc.conjoin_all(conjuncts)
+                if new_pc is not state.pc:
+                    pending.append(new_pc)
+                staged.append((path, value, new_pc))
         except EvalError:
             return None  # ill-typed substitution: let inline execution report
 
@@ -342,28 +282,11 @@ class SummaryEngine:
                 verdict, timed_out = next(verdicts)
                 if not sm._admit_verdict(new_pc, verdict, timed_out):
                     continue
-            if summary.tier == "pure":
-                post = state.with_pc(new_pc)
-                if path.kind is OutcomeKind.NORMAL:
-                    configs.append(
-                        Config(post.bind(ret_var, value), stack, idx + 1)
-                    )
-                else:
-                    finals.append(Final(post, OutcomeKind.ERROR, value))
+            post = state.with_pc(new_pc)
+            if path.kind is OutcomeKind.NORMAL:
+                configs.append(Config(post.bind(ret_var, value), stack, idx + 1))
             else:
-                if path.kind is OutcomeKind.NORMAL:
-                    post = SymbolicState(
-                        path.memory, state.store, path.alloc, new_pc
-                    ).bind(ret_var, value)
-                    configs.append(Config(post, stack, idx + 1))
-                else:
-                    err_state = SymbolicState(
-                        path.memory,
-                        MappingProxyType(dict(path.store)),
-                        path.alloc,
-                        new_pc,
-                    )
-                    finals.append(Final(err_state, OutcomeKind.ERROR, value))
+                finals.append(Final(post, OutcomeKind.ERROR, value))
         self.counters.replays += 1
         self.counters.commands_saved += summary.commands
         if self.events:

@@ -27,12 +27,10 @@ from typing import List, Optional
 
 from repro.engine.config import EngineConfig
 from repro.engine.explorer import Explorer
+from repro.engine.parallel import SymbolicModelFactory
 from repro.engine.results import ExecutionStats
 from repro.gil.semantics import OutcomeKind
 from repro.gil.syntax import Prog
-from repro.logic.simplify import shared_simplifier
-from repro.logic.solver import Solver
-from repro.state.symbolic import SymbolicStateModel
 from repro.targets.language import Language
 
 
@@ -85,20 +83,7 @@ def find_bugs(
     run_config = dataclasses.replace(
         base, summaries=True, summary_mode="incorrectness"
     )
-    simplifier = shared_simplifier(
-        enabled=True, memoise=run_config.simplifier_memoisation
-    )
-    solver = Solver(
-        simplifier=simplifier,
-        cache_enabled=run_config.solver_cache,
-        incremental=run_config.solver_incremental,
-        step_budget=run_config.solver_step_budget,
-    )
-    sm = SymbolicStateModel(
-        language.symbolic_memory(),
-        solver=solver,
-        unknown_policy=run_config.unknown_policy,
-    )
+    sm = SymbolicModelFactory(language.symbolic_memory(), run_config)()
     result = Explorer(prog, sm, run_config).run(entry)
 
     from repro.soundness.differential import check_final
@@ -108,7 +93,7 @@ def find_bugs(
     for fin in result.finals:
         if fin.kind is not OutcomeKind.ERROR:
             continue
-        check = check_final(language, prog, entry, fin, solver, replay_config)
+        check = check_final(language, prog, entry, fin, sm.solver, replay_config)
         report.bugs.append(
             SummaryBug(
                 value=fin.value,

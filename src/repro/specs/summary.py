@@ -1,38 +1,27 @@
 """Summary records, purity classification, and cache keys.
 
-A :class:`Summary` is the recorded behaviour of one procedure executed
-against a symbolic pre-state: one :class:`SummaryPath` per non-vanishing
-path, each carrying the outcome kind and value, the path-condition
-*delta* learned along the path (the pre-state starts at ``π = true``, so
-the final path condition's conjuncts *are* the delta), and — for
-heap-touching procedures — the post memory and allocation record.
-
-Two tiers of summary share the record shape:
-
-* **pure** (the paper's abstract summaries, arXiv 2001.05059): the
-  procedure touches no memory and allocates no symbols, so it is
-  summarised once against fresh canonical logical variables
-  (``spec_arg_0``, …) and replayed at *any* call site by substituting
-  the actual arguments into the recorded values and deltas;
-* **exact** (call-tree memoisation): any procedure, keyed by the exact
-  pre-state — arguments, memory, allocation record — so the recorded
-  post-states are literally the objects inline execution would have
-  produced.  Exact summaries make repeated concrete set-up call trees
-  (the dominant cost of the Buckets/Collections suites) replay for the
-  price of a hash.
+A :class:`Summary` is the recorded behaviour of one *pure* procedure
+(the paper's abstract summaries, arXiv 2001.05059): the procedure
+touches no memory and allocates no symbols, so it is summarised once
+against fresh canonical logical variables (``spec_arg_0``, …) and
+replayed at *any* call site by substituting the actual arguments into
+the recorded values and deltas.  Each non-vanishing path of that run is
+one :class:`SummaryPath`: the outcome kind and value, and the
+path-condition *delta* learned along the path (the pre-state starts at
+``π = true``, so the final path condition's conjuncts *are* the delta).
+Every other procedure runs inline.
 
 Keys are content-addressed (§cache keying in ``docs/summaries.md``): a
 procedure's hash covers its own body *and* its transitive static
 callees, so editing a helper invalidates every summary whose behaviour
 could change, with no invalidation protocol.
 
-Work whose input never changes is done once per input object: a
-procedure's own body is pickled once per :class:`Proc` and a memory
-value is digested once per object (both are frozen).  These memos hold
-their objects weakly, so an entry dies with its program or state.  The
-transitive walks that depend on the rest of the program — the body hash
-and purity — stay per engine, so a replaced procedure never reuses a
-stale verdict.
+A procedure's own body is scanned once per :class:`Proc` (it is
+frozen), and pickled and hashed once, when a summary key first needs
+it; these memos hold their objects weakly, so an entry dies with its
+program.  The transitive walks that depend on the rest of the program —
+the body hash and purity — stay per engine, so a replaced procedure
+never reuses a stale verdict.
 """
 
 from __future__ import annotations
@@ -49,7 +38,7 @@ from repro.logic.expr import Lit
 
 #: bump when the record shape or replay semantics change incompatibly;
 #: part of every cache key, so stale on-disk summaries simply miss
-SUMMARY_FORMAT_VERSION = 1
+SUMMARY_FORMAT_VERSION = 2
 
 #: namespace of the canonical argument logical variables a pure summary
 #: is recorded over — distinct from the allocator's ``val_``/``loc_``
@@ -64,30 +53,23 @@ _PICKLE_PROTOCOL = 4
 class SummaryPath:
     """One recorded path of a summarised procedure.
 
-    ``pc_delta`` is the tuple of conjuncts the path added over the
-    ``true`` entry condition.  ``memory``/``alloc``/``store`` are the
-    final state's components for exact summaries and ``None`` for pure
-    ones (a pure body cannot change them).  ``store`` (the callee's
-    final store, as sorted items) is kept so replayed *error* finals
-    carry the same state shape inline execution would have produced.
+    ``value`` and ``pc_delta`` (the tuple of conjuncts the path added
+    over the ``true`` entry condition) are expressions over the
+    canonical argument variables; a pure body leaves memory, allocation
+    record and the caller's store untouched, so nothing else is kept.
     """
 
     kind: OutcomeKind
     value: object
     pc_delta: Tuple[object, ...]
-    memory: object = None
-    alloc: object = None
-    store: Optional[Tuple[Tuple[str, object], ...]] = None
 
 
 @dataclass(frozen=True)
 class Summary:
-    """The recorded behaviour of one procedure over a symbolic pre-state."""
+    """The recorded behaviour of one pure procedure over symbolic arguments."""
 
     proc: str
-    #: ``"pure"`` or ``"exact"`` (see module docstring)
-    tier: str
-    #: parameter names, positionally matching ``spec_arg_<i>`` (pure tier)
+    #: parameter names, positionally matching ``spec_arg_<i>``
     params: Tuple[str, ...]
     paths: Tuple[SummaryPath, ...]
     #: True iff the summarisation run explored every path to its final
@@ -180,27 +162,14 @@ class _ObjectMemo:
 class _BodyFacts:
     """What a procedure's own body says, whatever program holds it."""
 
-    #: SHA-256 state after the pickled ``(name, params, body)``; copied,
-    #: then fed the callee hashes, by :func:`proc_hash`
-    digest: object
     #: static callee names in body order, repeats kept
     callees: Tuple[str, ...]
     #: no memory action, fresh-symbol command or dynamic call
     local_pure: bool
 
 
-def _body_facts(proc: Proc, name: Optional[str] = None) -> _BodyFacts:
-    """Scan ``proc``'s body once, registered under ``name``.
-
-    The name is pickled as the string object a call site names it by,
-    the value of the interned ``Lit(name)``: pickle shares repeated
-    objects, so a recursive body's own call names it by reference, and
-    the bytes must not depend on which equal string the caller held.
-    """
-    name = Lit(proc.name if name is None else name).value
-    digest = hashlib.sha256(
-        pickle.dumps((name, proc.params, proc.body), protocol=_PICKLE_PROTOCOL)
-    )
+def _body_facts(proc: Proc) -> _BodyFacts:
+    """Scan ``proc``'s body once for its static callees and own purity."""
     callees: List[str] = []
     local_pure = True
     for cmd in proc.body:
@@ -212,26 +181,35 @@ def _body_facts(proc: Proc, name: Optional[str] = None) -> _BodyFacts:
                 local_pure = False
             else:
                 callees.append(callee)
-    return _BodyFacts(digest, tuple(callees), local_pure)
+    return _BodyFacts(tuple(callees), local_pure)
 
 
-#: per :class:`Proc` object (frozen), the facts of its body under its
-#: own name
+def _body_digest(proc: Proc, name: Optional[str] = None):
+    """SHA-256 state after ``proc``'s pickled ``(name, params, body)``,
+    registered under ``name``; :func:`proc_hash` copies it, then feeds
+    it the callee hashes.
+
+    The name is pickled as the string object a call site names it by,
+    the value of the interned ``Lit(name)``: pickle shares repeated
+    objects, so a recursive body's own call names it by reference, and
+    the bytes must not depend on which equal string the caller held.
+    """
+    name = Lit(proc.name if name is None else name).value
+    return hashlib.sha256(
+        pickle.dumps((name, proc.params, proc.body), protocol=_PICKLE_PROTOCOL)
+    )
+
+
+#: per :class:`Proc` object (frozen), the facts of its body.  Purity
+#: reads only these, so deciding that a call runs inline hashes nothing
 _BODY_FACTS = _ObjectMemo(_body_facts)
 
-
-def _facts(prog: Prog, name: str) -> Optional[_BodyFacts]:
-    """Body facts of procedure ``name`` of ``prog`` (None if absent)."""
-    proc = prog.get(name)
-    if proc is None:
-        return None
-    if proc.name == name:
-        return _BODY_FACTS(proc)
-    return _body_facts(proc, name)  # registered under a foreign key
+#: per :class:`Proc` object, the digest of its body under its own name
+_BODY_DIGESTS = _ObjectMemo(_body_digest)
 
 
 def classify_pure(prog: Prog) -> Dict[str, bool]:
-    """Which procedures are *transitively pure* (pure-tier eligible).
+    """Which procedures are *transitively pure* (summarisable).
 
     A procedure is pure iff its body contains no memory action, no
     fresh-symbol command, and no call other than a static call to a
@@ -286,6 +264,9 @@ def is_pure(prog: Prog, name: str, verdicts: Dict[str, bool]) -> bool:
     way back, and each of those is impure whichever one the walk began
     at.
     """
+    known = verdicts.get(name)
+    if known is not None:
+        return known
     in_flight: Set[str] = set()
 
     def visit(pname: str) -> bool:
@@ -295,9 +276,10 @@ def is_pure(prog: Prog, name: str, verdicts: Dict[str, bool]) -> bool:
             return known
         if pname in in_flight:
             return False
-        facts = _facts(prog, pname)
-        if facts is None:
+        proc = prog.get(pname)
+        if proc is None:
             return False
+        facts = _BODY_FACTS(proc)
         in_flight.add(pname)
         pure = facts.local_pure and all(visit(c) for c in facts.callees)
         in_flight.discard(pname)
@@ -331,12 +313,15 @@ def proc_hash(prog: Prog, name: str, memo: Optional[Dict[str, str]] = None) -> s
             return known
         if pname in in_flight:
             return "cycle:" + pname
-        facts = _facts(prog, pname)
-        if facts is None:
+        proc = prog.get(pname)
+        if proc is None:
             return "missing:" + pname
         in_flight.add(pname)
-        digest = facts.digest.copy()
-        for callee in facts.callees:
+        if proc.name == pname:
+            digest = _BODY_DIGESTS(proc).copy()
+        else:  # registered under a foreign key
+            digest = _body_digest(proc, pname)
+        for callee in _BODY_FACTS(proc).callees:
             digest.update(visit(callee, in_flight).encode())
         in_flight.discard(pname)
         result = digest.hexdigest()
@@ -347,36 +332,8 @@ def proc_hash(prog: Prog, name: str, memo: Optional[Dict[str, str]] = None) -> s
 
 
 def pure_key(phash: str, salt: str) -> str:
-    """Cache key for a pure-tier summary: proc hash + engine salt."""
+    """Cache key for a summary: proc hash + engine salt."""
     return hashlib.sha256(f"pure:{phash}:{salt}".encode()).hexdigest()
-
-
-def _pickle_digest(value) -> bytes:
-    """SHA-256 of ``value``'s pinned-protocol pickle."""
-    return hashlib.sha256(pickle.dumps(value, protocol=_PICKLE_PROTOCOL)).digest()
-
-
-#: per memory value (frozen, so its pickle never changes), its digest
-_MEMORY_DIGESTS = _ObjectMemo(_pickle_digest)
-
-
-def exact_key(phash: str, args: List[object], memory, alloc, salt: str) -> str:
-    """Cache key for an exact-tier summary: the full pre-state.
-
-    Hashes the pickled (proc hash, evaluated arguments, memory digest,
-    allocation record, salt) tuple, where the memory digest is the
-    SHA-256 of the memory's own pickle, computed once per memory object.
-    Pickle forms are canonical for the engine's own types (states sort
-    their stores, expressions and path conditions re-intern
-    structurally), so equal pre-states built in the same order key
-    identically; an incidental representation difference costs a cache
-    miss, never a wrong hit.
-    """
-    payload = pickle.dumps(
-        (phash, tuple(args), _MEMORY_DIGESTS(memory), alloc, salt),
-        protocol=_PICKLE_PROTOCOL,
-    )
-    return hashlib.sha256(payload).hexdigest()
 
 
 def engine_salt(sm, config) -> str:

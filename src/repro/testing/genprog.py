@@ -321,13 +321,13 @@ def generate_program(seed: int) -> Prog:
 class CallProgramBuilder:
     """Emits a seeded multi-procedure program for the summary fuzz arm.
 
-    The shape is chosen to exercise both summary tiers and the fallback
-    paths: a layer of *pure* helpers (branching arithmetic over their
+    The shape is chosen to exercise summary replay and the inline
+    fallback: a layer of *pure* helpers (branching arithmetic over their
     parameters, optional nested static calls to earlier pure helpers,
-    optional ``fail`` guards — pure-tier eligible), a layer of *impure*
-    helpers (allocate and mutate an object, optionally read it back —
-    exact-tier only), and a ``main`` that mixes repeated calls to both
-    layers between ordinary statements.  Branch counts are deliberately
+    optional ``fail`` guards — summarised and replayed), a layer of
+    *impure* helpers (allocate and mutate an object, optionally read it
+    back — always run inline), and a ``main`` that mixes repeated calls
+    to both layers between ordinary statements.  Branch counts are deliberately
     small (at most two symbolic inputs, shallow helper bodies) so every
     seed explores exhaustively under the shared fuzz ``CONFIG`` — the
     on/off digest comparison is only meaningful for exhaustive runs.

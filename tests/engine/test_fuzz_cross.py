@@ -17,7 +17,10 @@ MiniWhile, MiniJS, MiniC and MiniRust sources with equivalent semantics
   same finals and execute the same number of commands;
 * **under faults** — a seeded transient fault plan (worker kills +
   injected action errors) must recover to the fault-free finals, per
-  target.
+  target;
+* **bug hunting** — the incorrectness arm (:func:`repro.specs.find_bugs`)
+  must report bugs on every target, each confirmed by concrete
+  counter-model replay.
 
 Every failure message carries the seed and a one-liner that reprints
 the offending lowering, so failures reproduce from the terminal.
@@ -30,6 +33,7 @@ import pytest
 from repro.engine.explorer import Explorer
 from repro.engine.parallel import ParallelExplorer, SymbolicModelFactory
 from repro.engine.results import final_sort_key
+from repro.specs import find_bugs
 from repro.state.symbolic import SymbolicStateModel
 from repro.testing.faults import FaultPlan
 from repro.testing.genprog import (
@@ -150,3 +154,21 @@ class TestPerTargetEngineArms:
             f"seed {seed} [{target}]: recovered finals differ from "
             f"fault-free run\nplan: {plan!r}\nreproduce: {cp.repro(target)}"
         )
+
+
+class TestIncorrectnessArm:
+    @pytest.mark.parametrize("target", CROSS_TARGETS)
+    def test_every_reported_bug_is_confirmed(self, target):
+        # Under-approximate summaries may drop bugs but never invent
+        # them (arXiv 2407.10838): every report replays concretely.
+        bugs = 0
+        for seed in CROSS_QUICK_SEEDS:
+            cp, progs = _compiled(seed)
+            report = find_bugs(LANGS[target], progs[target], "main", CONFIG)
+            assert report.all_confirmed, (
+                f"seed {seed} [{target}]: unconfirmed bug reports "
+                f"{[bug.detail for bug in report.bugs if not bug.confirmed]}"
+                f"\nreproduce: {cp.repro(target)}"
+            )
+            bugs += len(report.bugs)
+        assert bugs >= 1, f"[{target}]: no bug found over the quick seeds"

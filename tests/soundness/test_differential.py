@@ -8,6 +8,12 @@ allocators, memory models, solver.
 
 import pytest
 
+from repro.engine.config import EngineConfig
+from repro.engine.explorer import Explorer
+from repro.engine.parallel import SymbolicModelFactory
+from repro.gil.semantics import OutcomeKind
+from repro.gil.syntax import Fail, IfGoto, ISym, Proc, Prog, Return
+from repro.logic.expr import Lit, PVar
 from repro.soundness.differential import check_trace_soundness
 from repro.targets.while_lang import WhileLanguage
 
@@ -86,3 +92,29 @@ def test_trace_soundness(name):
     assert report.ok, [c.detail for c in report.checks if not c.ok]
     # At least one final must actually replay (models exist).
     assert report.replayed >= 1
+
+
+class TestConfigHonoured:
+    """The symbolic side of the report is built from its EngineConfig."""
+
+    #: deciding ``x * x < 0`` takes the solver more than one step
+    PROG = Prog()
+    PROG.add(Proc("main", (), (
+        ISym("x", "s0"),
+        IfGoto((PVar("x") * PVar("x")).lt(Lit(0)), 3),
+        Return(PVar("x")),
+        Fail(Lit("negative square")),
+    )))
+
+    def test_report_checks_the_finals_an_explorer_keeps(self):
+        config = EngineConfig(solver_step_budget=1, unknown_policy="prune")
+        model = SymbolicModelFactory(LANG.symbolic_memory(), config)()
+        explored = Explorer(self.PROG, model, config).run("main")
+        assert explored.stats.incompleteness.unknown_pruned == 1
+        report = check_trace_soundness(LANG, self.PROG, "main", config)
+        kinds = [check.kind for check in report.checks]
+        assert kinds == [fin.kind for fin in explored.finals]
+        assert kinds == [OutcomeKind.NORMAL]
+        # Without the budget the error branch is kept, and checked.
+        unbounded = check_trace_soundness(LANG, self.PROG, "main")
+        assert len(unbounded.checks) == 2

@@ -22,9 +22,7 @@ from repro.targets.while_lang.memory import WhileSymbolicMemory
 
 KEY = "a" * 64
 
-SUMMARY = Summary(
-    proc="f", tier="pure", params=("a",), paths=(), complete=True, commands=5
-)
+SUMMARY = Summary(proc="f", params=("a",), paths=(), complete=True, commands=5)
 
 
 def prog_of(*procs):

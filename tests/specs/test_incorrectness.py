@@ -71,16 +71,26 @@ class TestFindBugs:
         assert report.stats is not None
         assert report.stats.summary_replays > 0
 
+    def test_solver_follows_the_config(self):
+        # The hunt's solver is built from the caller's configuration:
+        # phase profiling reaches the run's stats.
+        quiet = find_bugs(LANG, BUGGY, "main")
+        profiled = find_bugs(
+            LANG, BUGGY, "main", config=EngineConfig(profile_solver_phases=True)
+        )
+        assert not quiet.stats.phase_times
+        assert profiled.stats.phase_times
+        assert profiled.all_confirmed and len(profiled.bugs) == 1
+
 
 class TestPartialSummaries:
-    #: ``wide`` fans out over its own fresh input; a tiny path budget
+    #: ``wide`` is pure and branches on its argument; a tiny path budget
     #: cuts its summarisation, leaving a partial summary
     PROG = prog_of(
         Proc("wide", ("a",), (
-            ISym("u", "w0"),
-            IfGoto(PVar("u").lt(PVar("a")), 3),
+            IfGoto(PVar("a").lt(Lit(0)), 2),
             Fail(Lit("wide-bug")),
-            Return(PVar("u")),
+            Return(PVar("a")),
         )),
         Proc("main", (), (
             ISym("x", "s0"),
@@ -120,4 +130,6 @@ class TestPartialSummaries:
             LANG, self.PROG, "main",
             config=EngineConfig(summary_max_paths=1),
         )
+        # The one path the cut summary keeps is the failing one.
+        assert [bug.value for bug in report.bugs] == [Lit("wide-bug")]
         assert report.all_confirmed

@@ -23,7 +23,6 @@ from repro.specs.summary import (
     Summary,
     classify_pure,
     engine_salt,
-    exact_key,
     is_pure,
     proc_hash,
     pure_key,
@@ -195,6 +194,26 @@ class TestLazyPurity:
         assert is_pure(prog, "mid", verdicts)
         assert verdicts == {"leaf": True, "mid": True}
 
+    def test_deciding_purity_hashes_no_body(self):
+        from repro.specs import summary
+
+        prog = prog_of(
+            ret_proc("leaf"),
+            Proc("mid", ("a",), (
+                Call("r", Lit("leaf"), (PVar("a"),)),
+                Return(PVar("r")),
+            )),
+            Proc("other", (), (USym("o", 0), Return(PVar("o")))),
+        )
+        verdicts = {}
+        assert is_pure(prog, "mid", verdicts)
+        assert not is_pure(prog, "other", verdicts)
+        hashed = summary._BODY_DIGESTS._entries
+        assert not any(id(proc) in hashed for proc in prog.procs.values())
+        proc_hash(prog, "mid")
+        assert {id(prog.procs[n]) for n in ("mid", "leaf")} <= set(hashed)
+        assert id(prog.procs["other"]) not in hashed
+
     def test_mutual_recursion_is_impure_from_either_end(self):
         prog = prog_of(
             Proc("f", ("a",), (Call("r", Lit("g"), (PVar("a"),)), Return(PVar("r")))),
@@ -298,10 +317,11 @@ class TestProcHash:
         prog = prog_of(ret_proc("f", value=Lit(41)))
         proc_hash(prog, "f")
         key = id(prog.procs["f"])
-        assert key in summary._BODY_FACTS._entries
+        memos = (summary._BODY_FACTS, summary._BODY_DIGESTS)
+        assert all(key in memo._entries for memo in memos)
         del prog
         gc.collect()
-        assert key not in summary._BODY_FACTS._entries
+        assert not any(key in memo._entries for memo in memos)
 
     def test_memo_is_per_program(self):
         a = prog_of(ret_proc("f", value=Lit(1)))
@@ -317,51 +337,11 @@ class TestKeys:
         assert pure_key("abc", "salt1") != pure_key("abc", "salt2")
         assert pure_key("abc", "s") == pure_key("abc", "s")
 
-    def test_exact_key_covers_args(self):
-        assert exact_key("h", [Lit(1)], None, None, "s") != exact_key(
-            "h", [Lit(2)], None, None, "s"
-        )
-
-    def test_exact_key_covers_memory(self):
-        assert exact_key("h", [], {"a": 1}, None, "s") != exact_key(
-            "h", [], {"a": 2}, None, "s"
-        )
-
-    def test_equal_distinct_memories_key_equal(self):
-        import repro
-        from repro.state.symbolic import SymbolicStateModel
-
-        for language in (
-            repro.WhileLanguage,
-            repro.MiniJSLanguage,
-            repro.MiniCLanguage,
-            repro.MiniRustLanguage,
-        ):
-            memory = SymbolicStateModel(
-                language().symbolic_memory()
-            ).initial_state().memory
-            twin = pickle.loads(pickle.dumps(memory))
-            assert twin is not memory and twin == memory
-            assert exact_key("h", [Lit(1)], memory, None, "s") == exact_key(
-                "h", [Lit(1)], twin, None, "s"
-            ), language.__name__
-
-    def test_one_cell_difference_changes_the_key(self):
-        from repro.logic.expr import LVar
-        from repro.targets.while_lang.memory import SymWhileMemory
-
-        def memory(value):
-            return SymWhileMemory(
-                (((LVar("loc_0"), "p"), Lit(1)), ((LVar("loc_0"), "q"), value))
-            )
-
-        base = exact_key("h", [], memory(Lit(2)), None, "s")
-        assert exact_key("h", [], memory(Lit(2)), None, "s") == base
-        assert exact_key("h", [], memory(Lit(3)), None, "s") != base
-        assert exact_key("h", [], memory(LVar("x")), None, "s") != base
+    def test_pure_key_covers_proc_hash(self):
+        assert pure_key("abc", "s") != pure_key("abd", "s")
 
     def test_keys_are_hex(self):
-        key = exact_key("h", [], None, None, "s")
+        key = pure_key("h", "s")
         assert len(key) == 64 and all(c in "0123456789abcdef" for c in key)
 
 
@@ -381,11 +361,26 @@ class TestEngineSalt:
         )
         assert engine_salt(relaxed, EngineConfig(unknown_policy="prune")) != base
 
+    def test_salt_covers_format_version(self, monkeypatch):
+        # Records of another format live under other keys: an old
+        # summary_dir entry misses instead of failing to load.
+        from repro.engine.config import EngineConfig
+        from repro.specs import summary
+        from repro.state.symbolic import SymbolicStateModel
+        from repro.targets.while_lang.memory import WhileSymbolicMemory
+
+        sm = SymbolicStateModel(WhileSymbolicMemory())
+        base = engine_salt(sm, EngineConfig())
+        monkeypatch.setattr(
+            summary, "SUMMARY_FORMAT_VERSION", SUMMARY_FORMAT_VERSION - 1
+        )
+        assert engine_salt(sm, EngineConfig()) != base
+
 
 class TestUsable:
     def _summary(self, complete, version=SUMMARY_FORMAT_VERSION):
         return Summary(
-            proc="f", tier="pure", params=("a",), paths=(),
+            proc="f", params=("a",), paths=(),
             complete=complete, commands=3, format_version=version,
         )
 
