@@ -55,13 +55,10 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from repro.engine.config import EngineConfig, gillian
 from repro.engine.explorer import Explorer
-from repro.engine.parallel import ParallelExplorer
+from repro.engine.parallel import ParallelExplorer, SymbolicModelFactory
 from repro.engine.results import final_sort_key
-from repro.logic.simplify import shared_simplifier
-from repro.logic.solver import Solver
 from repro.specs import find_bugs
 from repro.specs.cache import clear_summary_cache
-from repro.state.symbolic import SymbolicStateModel
 from repro.testing.io import atomic_write_json
 
 from benchmarks.bench_strategies import workloads
@@ -71,24 +68,6 @@ OUT_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "BENCH_summaries.json",
 )
-
-
-def _state_model(language, config: EngineConfig) -> SymbolicStateModel:
-    """A fresh stock symbolic state model, mirroring the test harness."""
-    simplifier = shared_simplifier(
-        enabled=True, memoise=config.simplifier_memoisation
-    )
-    solver = Solver(
-        simplifier=simplifier,
-        cache_enabled=config.solver_cache,
-        incremental=config.solver_incremental,
-        step_budget=config.solver_step_budget,
-    )
-    return SymbolicStateModel(
-        language.symbolic_memory(),
-        solver=solver,
-        unknown_policy=config.unknown_policy,
-    )
 
 
 def run_pass(
@@ -111,7 +90,7 @@ def run_pass(
     }
     for language, name, prog, tests in suites:
         for entry in tests:
-            sm = _state_model(language, config)
+            sm = SymbolicModelFactory(language.symbolic_memory(), config)()
             if workers > 1:
                 explorer = ParallelExplorer(
                     prog, sm, config, workers=workers

@@ -29,6 +29,7 @@ from repro.engine.events import EventBus
 from repro.engine.explorer import Explorer
 from repro.engine.strategy import SearchStrategy, make_strategy, strategy_names
 from repro.logic.solver import SatResult, Solver
+from repro.targets import LANGUAGES, language_class
 from repro.testing.harness import Bug, SuiteResult, SymbolicTester, TestResult
 
 __version__ = "1.1.0"
@@ -47,34 +48,17 @@ __all__ = [
     "SuiteResult",
     "SymbolicTester",
     "TestResult",
-    "WhileLanguage",
-    "MiniJSLanguage",
-    "MiniCLanguage",
-    "MiniRustLanguage",
     "gillian",
     "javert2_baseline",
     "make_strategy",
     "strategy_names",
-]
+] + [cls for _, cls in LANGUAGES.values()]
 
 
 def __getattr__(name):
-    # Lazy imports keep `import repro` light and avoid import cycles while
-    # the language instantiations pull in their full front ends.
-    if name == "WhileLanguage":
-        from repro.targets.while_lang import WhileLanguage
-
-        return WhileLanguage
-    if name == "MiniJSLanguage":
-        from repro.targets.js_like import MiniJSLanguage
-
-        return MiniJSLanguage
-    if name == "MiniCLanguage":
-        from repro.targets.c_like import MiniCLanguage
-
-        return MiniCLanguage
-    if name == "MiniRustLanguage":
-        from repro.targets.rust_like import MiniRustLanguage
-
-        return MiniRustLanguage
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    # Lazy: `import repro` stays light and avoids import cycles; the
+    # language table imports a front end only when a class is asked for.
+    found = language_class(name)
+    if found is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    return found

@@ -71,8 +71,12 @@ class _DirectedSymbolicModel(SymbolicStateModel):
     explores exactly one path and its path condition is that path's.
     """
 
-    def __init__(self, memory_model, solver, inputs: Dict[str, Value]) -> None:
-        super().__init__(memory_model, solver=solver)
+    def __init__(
+        self, memory_model, solver, inputs: Dict[str, Value], unknown_policy: str
+    ) -> None:
+        super().__init__(
+            memory_model, solver=solver, unknown_policy=unknown_policy
+        )
         self.inputs = inputs
 
     def branch_on(self, state, cond):
@@ -129,7 +133,7 @@ class ConcolicTester:
         self.events = events
 
     def run(self, prog: Prog, entry: str) -> ConcolicReport:
-        solver = Solver()
+        solver = Solver.from_config(self.config)
         seen_inputs: Set[tuple] = set()
         # Worklist of candidate input vectors; start unconstrained.
         worklist: List[Dict[str, Value]] = [{}]
@@ -232,7 +236,8 @@ class ConcolicTester:
         # concrete allocator's default.
         oracle = _InputOracle(inputs, default=0)
         sym_sm = _DirectedSymbolicModel(
-            self.language.symbolic_memory(), solver, oracle
+            self.language.symbolic_memory(), solver, oracle,
+            self.config.unknown_policy,
         )
         sym_result = Explorer(
             prog, sym_sm, self.config,

@@ -122,23 +122,12 @@ class SymbolicModelFactory:
     config: EngineConfig
 
     def __call__(self):
-        from repro.logic.simplify import Simplifier
         from repro.logic.solver import Solver
         from repro.state.symbolic import SymbolicStateModel
 
-        simplifier = Simplifier(
-            enabled=True, memoise=self.config.simplifier_memoisation
-        )
-        solver = Solver(
-            simplifier=simplifier,
-            cache_enabled=self.config.solver_cache,
-            incremental=self.config.solver_incremental,
-            step_budget=self.config.solver_step_budget,
-            profile_phases=self.config.profile_solver_phases,
-        )
         return SymbolicStateModel(
             self.memory_model,
-            solver=solver,
+            solver=Solver.from_config(self.config),
             unknown_policy=self.config.unknown_policy,
         )
 

@@ -68,11 +68,13 @@ child then costs only its delta:
 * any delta that would require case splitting (a disjunction) falls back
   to the monolithic solve, for that prefix and its descendants.
 
-Results are cached four ways: per prefix identity (``PathCondition.uid``),
-per (parent-context, added-conjuncts) pair — so sibling paths re-deriving
-the same guard hit — per (parent-context, normalized delta) pair, and in
-the pre-existing frozenset cache, which the incremental layer both
-consults and populates so conjunct-order permutations keep hitting.
+Prefix chains are cached in two maps: per prefix identity
+(``PathCondition.uid``) and per (parent-context, added-conjuncts) pair,
+so sibling paths re-deriving the same guard hit.  Conjunct lists — the
+monolithic path of :meth:`Solver.entails`, counter-model enumeration,
+concolic branch flips and the ``solver_incremental=False`` ablation —
+are cached in one map, the frozenset cache keyed by the normalized
+conjunct set, which the incremental layer neither reads nor writes.
 Soundness is unchanged: UNSAT is still only produced with one of the
 proofs above and SAT only with a model verified against every conjunct.
 """
@@ -102,7 +104,7 @@ from repro.logic.expr import (
     walk,
 )
 from repro.logic.pathcond import PathCondition
-from repro.logic.simplify import Simplifier
+from repro.logic.simplify import Simplifier, shared_simplifier
 from repro.logic.types import TypeConflict, collect_var_types
 
 
@@ -157,6 +159,7 @@ class SolverStats:
     """Counters surfaced by the benchmark harness."""
 
     queries: int = 0
+    #: list queries answered from the frozenset cache
     cache_hits: int = 0
     sat: int = 0
     unsat: int = 0
@@ -328,6 +331,7 @@ class Solver:
 
     Parameters mirror the engine ablation: ``simplifier`` may be a disabled
     :class:`Simplifier` and ``cache_enabled`` toggles result caching.
+    Engine entry points build theirs with :meth:`from_config`.
     """
 
     def __init__(
@@ -367,6 +371,8 @@ class Solver:
         #: their behaviour on timeouts (e.g. the state model's
         #: ``unknown_assumed`` accounting) read this right after check().
         self.last_timed_out = False
+        #: list-query results by normalized conjunct set (the monolithic
+        #: path only; prefix chains use the two maps below)
         self._cache: Dict[frozenset, Tuple[SatResult, Optional[Model]]] = {}
         #: conjunct-set keys whose cached UNKNOWN came from a timeout, so
         #: cache hits report the same provenance as the original solve
@@ -375,19 +381,6 @@ class Solver:
         self._contexts: Dict[int, SolverContext] = {}
         #: prefix contexts by (parent context uid, added conjunct tuple)
         self._prefix_cache: Dict[tuple, SolverContext] = {}
-        #: solved extensions by (parent context uid, *normalized* delta
-        #: tuple).  The raw prefix cache above keys on the syntactic
-        #: ``pc.added`` tuple, so two branch points phrasing an equal
-        #: extension differently — a guard vs its simplified form, one
-        #: conjoined ``∧`` vs two conjuncts, re-assertion of something
-        #: the prefix already holds — miss it and re-solve.  Keying on
-        #: the delta *after* simplification/flattening/dedup catches
-        #: exactly those; parent identity plus normalized delta fully
-        #: determines the context (norm, theory state, verdict), so a
-        #: hit returns it wholesale.  Hits count as ``cache_hits``: this
-        #: is the exact-result cache tier, now keyed where duplicates
-        #: actually arise instead of on whole-conjunction permutations
-        self._delta_cache: Dict[tuple, SolverContext] = {}
         self._root_context = SolverContext(
             uid=0,
             result=SatResult.SAT,
@@ -413,6 +406,20 @@ class Solver:
             self._search_model = self._timed_phase(
                 self._search_model, "search_time"
             )
+
+    @classmethod
+    def from_config(cls, config) -> "Solver":
+        """The solver an :class:`~repro.engine.config.EngineConfig`
+        describes: every solver field honoured, on the process-wide
+        simplifier of the configured flavour (pure, so its memo stays
+        warm across the runs that share it)."""
+        return cls(
+            simplifier=shared_simplifier(True, config.simplifier_memoisation),
+            cache_enabled=config.solver_cache,
+            incremental=config.solver_incremental,
+            step_budget=config.solver_step_budget,
+            profile_phases=config.profile_solver_phases,
+        )
 
     def _timed_phase(self, func, attr: str):
         """``func`` wrapped to accrue its wall time into ``stats.<attr>``."""
@@ -656,21 +663,17 @@ class Solver:
         return ctx
 
     def _timeout_context(
-        self, pc, norm, norm_set, theory
+        self, pc, norm, norm_set, live=(None, None, None)
     ) -> SolverContext:
         """The UNKNOWN context of a query that ran out of budget (or hit
-        an injected timeout).  Theory state built before the timeout is
-        kept so descendants can still extend incrementally."""
+        an injected timeout).  Theory state built before the timeout
+        (``live``: literals, union-find, types) is kept so descendants
+        can still extend incrementally."""
         self.stats.unknown += 1
         self.stats.timeouts += 1
         self._timed_out = True
-        literals, cc, var_types = (
-            theory[:3] if theory is not None else (None, None, None)
-        )
         return SolverContext(
-            uid=pc.uid, result=SatResult.UNKNOWN, model=None,
-            norm=norm, norm_set=norm_set,
-            literals=literals, cc=cc, var_types=var_types,
+            pc.uid, SatResult.UNKNOWN, None, norm, norm_set, *live,
             timed_out=True,
         )
 
@@ -726,27 +729,7 @@ class Solver:
         # trivial extensions (empty delta, inherited UNSAT) never consume
         # the fault's query counter.
         if self._forced_timeout():
-            return self._timeout_context(pc, norm, norm_set, None)
-
-        # 1b. Exact-delta cache: this normalized delta already solved
-        # under this same parent.  Probed after the forced-timeout check
-        # so fault injection consumes its query counter for every
-        # real-work query, cached or not (same rule the frozenset cache
-        # below follows); timeout contexts are never stored, so a hit
-        # can only replay a budget-independent verdict.
-        dkey: Optional[tuple] = None
-        if self.cache_enabled:
-            dkey = (parent.uid, tuple(delta))
-            hit = self._delta_cache.get(dkey)
-            if hit is not None:
-                self.stats.cache_hits += 1
-                if hit.result is SatResult.SAT:
-                    self.stats.sat += 1
-                elif hit.result is SatResult.UNSAT:
-                    self.stats.unsat += 1
-                else:
-                    self.stats.unknown += 1
-                return hit
+            return self._timeout_context(pc, norm, norm_set)
 
         # Fast UNSAT: a delta conjunct whose negation is already in the
         # conjunction is an immediate contradiction — the shape every
@@ -763,9 +746,9 @@ class Solver:
             if neg in norm_set:
                 self.stats.unsat += 1
                 self.stats.incremental_solves += 1
-                return self._finish_context(
-                    pc, SatResult.UNSAT, None, norm, norm_set,
-                    literals=None, cc=None, var_types=None, dkey=dkey,
+                return SolverContext(
+                    uid=pc.uid, result=SatResult.UNSAT, model=None,
+                    norm=norm, norm_set=norm_set,
                 )
 
         # 2. Extend the split-free theory state by the delta (cloned
@@ -776,36 +759,23 @@ class Solver:
             # Type conflict or congruence contradiction: an UNSAT proof.
             self.stats.unsat += 1
             self.stats.incremental_solves += 1
-            return self._finish_context(
-                pc, SatResult.UNSAT, None, norm, norm_set,
-                literals=None, cc=None, var_types=None, dkey=dkey,
+            return SolverContext(
+                uid=pc.uid, result=SatResult.UNSAT, model=None,
+                norm=norm, norm_set=norm_set,
             )
 
-        # 3. Permutations of an already-solved conjunct set hit the
-        # frozenset cache; keep the theory state alive for descendants.
-        fkey = frozenset(norm)
-        if self.cache_enabled:
-            cached = self._cache.get(fkey)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                result, model = cached
-                return self._record_result(
-                    pc, result, model, norm, norm_set, theory, dkey=dkey
-                )
-
-        # 4. Model reuse: if the parent's verified model also satisfies the
+        # 3. Model reuse: if the parent's verified model also satisfies the
         # delta (extending it over fresh variables), the child is SAT.
+        live = theory[:3] if theory is not None else (None, None, None)
         model = self._reuse_model(parent, delta, theory)
         if model is not None:
             self.stats.sat += 1
             self.stats.model_reuse_hits += 1
-            return self._finish_context(
-                pc, SatResult.SAT, model, norm, norm_set,
-                *(theory[:3] if theory is not None else (None, None, None)),
-                dkey=dkey,
+            return SolverContext(
+                pc.uid, SatResult.SAT, model, norm, norm_set, *live
             )
 
-        # 5. Solve: delta pipeline over the combined literal list when the
+        # 4. Solve: delta pipeline over the combined literal list when the
         # chain is split-free, else the monolithic pipeline.
         try:
             if theory is not None:
@@ -818,7 +788,7 @@ class Solver:
                 result, model = self._solve(list(norm))
                 self.stats.monolithic_solves += 1
         except _OutOfGas:
-            return self._timeout_context(pc, norm, norm_set, theory)
+            return self._timeout_context(pc, norm, norm_set, live)
         if result is SatResult.SAT and model is not None:
             model = self._complete_model(model, list(norm))
         if result is SatResult.SAT:
@@ -827,47 +797,7 @@ class Solver:
             self.stats.unsat += 1
         else:
             self.stats.unknown += 1
-        return self._finish_context(
-            pc, result, model, norm, norm_set,
-            *(theory[:3] if theory is not None else (None, None, None)),
-            dkey=dkey,
-        )
-
-    def _finish_context(
-        self, pc, result, model, norm, norm_set, literals, cc, var_types,
-        dkey=None,
-    ) -> SolverContext:
-        if self.cache_enabled:
-            self._cache[frozenset(norm)] = (result, model)
-        ctx = SolverContext(
-            uid=pc.uid, result=result, model=model, norm=norm,
-            norm_set=norm_set, literals=literals, cc=cc, var_types=var_types,
-        )
-        if dkey is not None:
-            self._delta_cache[dkey] = ctx
-        return ctx
-
-    def _record_result(self, pc, result, model, norm, norm_set, theory, dkey=None):
-        if result is SatResult.SAT:
-            self.stats.sat += 1
-        elif result is SatResult.UNSAT:
-            self.stats.unsat += 1
-        else:
-            self.stats.unknown += 1
-        literals, cc, var_types = (
-            theory[:3] if theory is not None else (None, None, None)
-        )
-        ctx = SolverContext(
-            uid=pc.uid, result=result, model=model, norm=norm,
-            norm_set=norm_set, literals=literals, cc=cc, var_types=var_types,
-            timed_out=(
-                result is SatResult.UNKNOWN
-                and frozenset(norm) in self._timeout_keys
-            ),
-        )
-        if dkey is not None and not ctx.timed_out:
-            self._delta_cache[dkey] = ctx
-        return ctx
+        return SolverContext(pc.uid, result, model, norm, norm_set, *live)
 
     def _extend_theory(self, parent: SolverContext, delta: List[Expr]):
         """Extend the parent's theory state by the delta conjuncts.

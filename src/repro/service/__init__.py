@@ -28,8 +28,9 @@ from repro.service.checkpoint import Checkpoint, CheckpointManager
 from repro.service.degrade import DegradationPolicy
 from repro.service.jobs import JobFailure, JobResult, JobSpec, finals_digest
 from repro.service.queue import DurableQueue, JobLease, QueueFull
-from repro.service.runner import JobRunner, budget_for, language_for, verdict_for
+from repro.service.runner import JobRunner, budget_for, verdict_for
 from repro.service.store import ContentStore, GilStore, ResultStore
+from repro.targets import language_for
 
 __all__ = [
     "AnalysisService",

@@ -35,30 +35,16 @@ from typing import List, Optional, Tuple
 from repro.engine.budget import Budget
 from repro.engine.config import EngineConfig
 from repro.engine.explorer import Explorer
-from repro.engine.parallel import SEED_FACTOR, ParallelExplorer, resolve_workers
+from repro.engine.parallel import (
+    SEED_FACTOR,
+    ParallelExplorer,
+    SymbolicModelFactory,
+    resolve_workers,
+)
 from repro.engine.results import ExecutionResult, ExecutionStats, merge_results
 from repro.gil.semantics import make_call_config
-from repro.logic.simplify import shared_simplifier
-from repro.logic.solver import Solver
 from repro.service.jobs import JobSpec
-from repro.state.symbolic import SymbolicStateModel
-
-
-def language_for(name: str):
-    """Instantiate the target language registered under ``name``."""
-    import repro
-
-    classes = {
-        "while": "WhileLanguage",
-        "minijs": "MiniJSLanguage",
-        "minic": "MiniCLanguage",
-        "rust": "MiniRustLanguage",
-    }
-    if name not in classes:
-        raise ValueError(
-            f"unknown language {name!r}; expected one of {sorted(classes)}"
-        )
-    return getattr(repro, classes[name])()
+from repro.targets import language_for
 
 
 def budget_for(spec: JobSpec) -> Budget:
@@ -147,19 +133,9 @@ class JobRunner:
         budget = budget if budget is not None else budget_for(spec)
         workers = resolve_workers(spec.workers)
 
-        language = language_for(spec.language)
         config = EngineConfig(unknown_policy=policy)
-        solver = Solver(
-            simplifier=shared_simplifier(
-                enabled=True, memoise=config.simplifier_memoisation
-            ),
-            cache_enabled=config.solver_cache,
-            incremental=config.solver_incremental,
-            step_budget=config.solver_step_budget,
-        )
-        sm = SymbolicStateModel(
-            language.symbolic_memory(), solver=solver, unknown_policy=policy
-        )
+        memory = language_for(spec.language).symbolic_memory()
+        sm = SymbolicModelFactory(memory, config)()
 
         snapshot = checkpoint.load() if checkpoint is not None else None
         if snapshot is not None:

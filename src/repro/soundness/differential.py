@@ -109,7 +109,10 @@ def check_final(
     — can validate individual finals without re-running the whole
     symbolic side.
     """
-    model = solver.get_model(fin.state.pc.conjuncts)
+    # Pass the PathCondition itself, as the test harness does: the
+    # final's prefix context is already solved, and its model is
+    # re-verified against every conjunct before it is returned.
+    model = solver.get_model(fin.state.pc)
     if model is None:
         return TraceCheck(fin.kind, None, False, True, "no verified model")
 

@@ -24,7 +24,6 @@ from repro.gil.semantics import Final, OutcomeKind
 from repro.gil.syntax import Prog
 from repro.gil.values import Value
 from repro.logic.expr import Expr
-from repro.logic.simplify import shared_simplifier
 from repro.logic.solver import Solver
 from repro.state.allocator import ConcreteAllocator
 from repro.state.concrete import ConcreteStateModel
@@ -142,19 +141,9 @@ class SymbolicTester:
         )
 
     def make_solver(self) -> Solver:
-        # The shared per-flavour simplifier: pure, so results match a
-        # private instance exactly, but its memo stays warm across the
-        # suite's tests instead of being rebuilt for every entry point.
-        simplifier = shared_simplifier(
-            enabled=True, memoise=self.config.simplifier_memoisation
-        )
-        return Solver(
-            simplifier=simplifier,
-            cache_enabled=self.config.solver_cache,
-            incremental=self.config.solver_incremental,
-            step_budget=self.config.solver_step_budget,
-            profile_phases=self.config.profile_solver_phases,
-        )
+        """A fresh solver for one test, as the configuration describes
+        it (subclasses override this to observe or instrument it)."""
+        return Solver.from_config(self.config)
 
     def run_test(
         self,

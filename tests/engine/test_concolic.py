@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine.concolic import ConcolicTester
+from repro.engine.config import EngineConfig
 from repro.targets.c_like import MiniCLanguage
 from repro.targets.while_lang import WhileLanguage
 
@@ -118,3 +119,50 @@ class TestDirectedSearch:
         )
         assert report.found_bug
         assert report.bugs[0].inputs["val_0_0"] == 41
+
+
+DART = """
+proc main() {
+  x := symb_int();
+  y := symb_int();
+  if (x = 2 * y) {
+    if (10 < x - y) {
+      assert(false);
+    }
+  }
+  return 0;
+}"""
+
+
+class TestConfig:
+    """A concolic run's solver and shadow model follow its EngineConfig."""
+
+    def test_solver_step_budget_reaches_flip_queries(self):
+        assert run_while(DART).found_bug
+        # One solver step is too little for any flip query: each times
+        # out, so no second input vector is ever scheduled.
+        report = run_while(DART, config=EngineConfig(solver_step_budget=1))
+        assert report.iterations == 1
+        assert not report.found_bug
+
+    def test_shadow_model_follows_the_config(self, monkeypatch):
+        import repro.engine.concolic as concolic
+
+        built = []
+        real = concolic._DirectedSymbolicModel
+
+        def recording(*args):
+            sm = real(*args)
+            built.append(sm)
+            return sm
+
+        monkeypatch.setattr(concolic, "_DirectedSymbolicModel", recording)
+        config = EngineConfig(
+            solver_cache=False, solver_step_budget=50, unknown_policy="prune"
+        )
+        run_while(DART, config=config, max_iterations=2)
+        assert built
+        for sm in built:
+            assert sm.unknown_policy == "prune"
+            assert not sm.solver.cache_enabled
+            assert sm.solver.step_budget == 50

@@ -1,5 +1,7 @@
 """The documented public API is importable and wired correctly."""
 
+import pathlib
+
 import pytest
 
 
@@ -73,3 +75,42 @@ def test_readme_minic_example_runs():
     result = SymbolicTester(MiniCLanguage()).run_source(source, "main")
     assert result.verdict == "bug"
     assert result.bugs[0].model == {"val_1_0": 3}
+
+
+def test_one_language_table():
+    import repro
+    import repro.service
+    import repro.targets
+    from repro.targets import LANGUAGES, MiniRustLanguage, language_for
+
+    assert set(LANGUAGES) == {"while", "minijs", "minic", "rust"}
+    assert repro.service.language_for is language_for
+    assert MiniRustLanguage is repro.MiniRustLanguage
+    for name, (_, cls) in LANGUAGES.items():
+        assert cls in repro.__all__ and cls in repro.targets.__all__
+        assert type(language_for(name)) is getattr(repro, cls)
+        assert getattr(repro.targets, cls) is getattr(repro, cls)
+    with pytest.raises(ValueError):
+        language_for("js")
+
+
+def test_importing_repro_loads_no_front_end():
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    code = (
+        "import sys, repro; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.targets.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={
+            **os.environ,
+            "PYTHONPATH": str(pathlib.Path(repro.__file__).parent.parent),
+        },
+    ).stdout
+    assert out.strip() == "['repro.targets.language']"
