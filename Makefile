@@ -21,8 +21,8 @@ help:
 	@echo "  bench-service    analysis-service burst/replay/crash-storm benchmark (BENCH_service.json)"
 	@echo "  bench-summaries  compositional-execution benchmark + identity grid (BENCH_summaries.json)"
 	@echo "  bench-gate       smoke throughput gate: fail below the recorded paths/sec floor"
-	@echo "  fingerprint      regenerate the fingerprints (baseline + heap + rust memory models, solver)"
-	@echo "  fingerprint-check verify memory-model branch structure and solver models are byte-identical to the baselines"
+	@echo "  fingerprint      regenerate the fingerprints (baseline + heap + rust memory models, solver, frontend)"
+	@echo "  fingerprint-check verify memory-model branch structure, solver models and compiled GIL are byte-identical to the baselines"
 	@echo "  clean            remove caches and build artefacts"
 
 test:
@@ -96,12 +96,14 @@ fingerprint:
 	$(PYTHON) tools/fingerprint.py --arms heap --out tests/fingerprints/heap.json
 	$(PYTHON) tools/fingerprint.py --arms rust --out tests/fingerprints/rust.json
 	$(PYTHON) tools/fingerprint.py --arms solver --out tests/fingerprints/solver.json
+	$(PYTHON) tools/fingerprint.py --arms frontend --out tests/fingerprints/frontend.json
 
 fingerprint-check:
 	$(PYTHON) tools/fingerprint.py --check tests/fingerprints/baseline.json
 	$(PYTHON) tools/fingerprint.py --arms heap --check tests/fingerprints/heap.json
 	$(PYTHON) tools/fingerprint.py --arms rust --check tests/fingerprints/rust.json
 	$(PYTHON) tools/fingerprint.py --arms solver --check tests/fingerprints/solver.json
+	$(PYTHON) tools/fingerprint.py --arms frontend --check tests/fingerprints/frontend.json
 
 clean:
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

@@ -15,6 +15,15 @@ ablated (every query re-solves the whole conjunction) — and reports:
   run is recorded and replayed through a fresh monolithic solver; the
   verdicts must be identical.
 
+Each configuration is timed over ``REPEATS`` full passes, alternating
+the two, and every count (queries, hits per tier, solves, commands) must
+repeat exactly or the run fails.  Each configuration's ``solver_time``,
+``wall_time`` and per-suite times are medians over its passes;
+``solver_time_repeats`` and ``solver_time_quartiles`` give every pass and
+the spread, and ``solver_time_speedup`` is the ratio of the medians.  A
+single pass swings the ratio widely (1.67-2.37x over five runs of one
+tree), so one pass describes a run, not the tree.
+
 Emits ``BENCH_solver.json`` next to the repository root.  Acceptance
 target (ISSUE): ≥2× reduction in solver wall time OR ≥2× higher hit
 rate for the incremental configuration, with a clean differential.
@@ -39,8 +48,8 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
-import time
 from typing import Dict, List, Tuple
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -63,6 +72,15 @@ OUT_PATH = os.path.join(
 #: the incremental configuration must sustain on the Table 1/2 workload;
 #: measured ~0.58 at the time the floor was recorded
 HIT_RATE_FLOOR = 0.5
+
+#: timed passes per configuration
+REPEATS = 5
+
+#: the stats that must repeat exactly across the passes of a configuration
+COUNT_KEYS = (
+    "queries", "cache_hits", "prefix_hits", "model_reuse_hits",
+    "unsat_inherited", "incremental_solves", "monolithic_solves", "commands",
+)
 
 
 class RecordingTester(SymbolicTester):
@@ -159,6 +177,34 @@ def run_config(config: EngineConfig, record: bool) -> Dict:
     return {"stats": agg, "query_log": query_log}
 
 
+def repeated(label: str, runs: List[Dict]) -> Dict:
+    """One configuration's passes folded into one stats block: the counts
+    (which must agree across passes) and the median of each time, plus
+    every pass's solver time and its quartiles."""
+    first = runs[0]["stats"]
+    for i, run in enumerate(runs[1:], start=2):
+        for key in COUNT_KEYS:
+            if run["stats"][key] != first[key]:
+                raise SystemExit(
+                    f"{label}: {key} was {first[key]} in pass 1 but "
+                    f"{run['stats'][key]} in pass {i}"
+                )
+    times = [run["stats"]["solver_time"] for run in runs]
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    stats = dict(first)
+    stats["solver_time"] = round(statistics.median(times), 4)
+    stats["solver_time_repeats"] = times
+    stats["solver_time_quartiles"] = [round(q1, 4), round(q3, 4)]
+    stats["wall_time"] = round(
+        statistics.median(run["stats"]["wall_time"] for run in runs), 4
+    )
+    stats["suites"] = {
+        name: round(statistics.median(run["stats"]["suites"][name] for run in runs), 4)
+        for name in first["suites"]
+    }
+    return stats
+
+
 def differential(query_log: List[Tuple[Tuple, str]]) -> Dict:
     """Replay recorded queries through a fresh monolithic solver."""
     unique: Dict[Tuple, str] = {}
@@ -186,21 +232,29 @@ def differential(query_log: List[Tuple[Tuple, str]]) -> Dict:
 
 
 def main() -> int:
+    inc_runs: List[Dict] = []
+    abl_runs: List[Dict] = []
+    for i in range(REPEATS):
+        print(f"== pass {i + 1}/{REPEATS} ==")
+        inc_runs.append(run_config(gillian(), record=i == 0))
+        abl_runs.append(run_config(gillian(solver_incremental=False), record=False))
+        print(
+            f"solver_time: incremental {inc_runs[-1]['stats']['solver_time']}s, "
+            f"ablation {abl_runs[-1]['stats']['solver_time']}s"
+        )
+    inc_stats = repeated("incremental", inc_runs)
+    abl_stats = repeated("ablation", abl_runs)
     print("== incremental configuration ==")
-    inc = run_config(gillian(), record=True)
-    print(json.dumps(inc["stats"], indent=2))
-
+    print(json.dumps(inc_stats, indent=2))
     print("== ablation: solver_incremental=False ==")
-    abl = run_config(gillian(solver_incremental=False), record=False)
-    print(json.dumps(abl["stats"], indent=2))
+    print(json.dumps(abl_stats, indent=2))
 
-    diff = differential(inc["query_log"])
+    diff = differential(inc_runs[0]["query_log"])
     print(
         f"differential: {diff['unique_queries']} unique queries, "
         f"{len(diff['mismatches'])} mismatches"
     )
 
-    inc_stats, abl_stats = inc["stats"], abl["stats"]
     speedup = (
         abl_stats["solver_time"] / inc_stats["solver_time"]
         if inc_stats["solver_time"]

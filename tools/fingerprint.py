@@ -31,13 +31,21 @@ count.  ``tests/fingerprints/solver.json`` was generated before the
 theory pass became int-first, so a change to a verdict, a model value or
 its type, or the search order shows up as a diff.
 
+The ``frontend`` arm pins the compilers: per program, its GIL command
+count and the SHA-256 of its ``print_prog`` text.  The programs are the
+Table 1/2/3 suites, the MiniC Collections library with each deep-paths
+seed's tests, and each cross-target seed lowered to all four targets.
+``tests/fingerprints/frontend.json`` was generated before the lexer
+became one compiled regular expression, so any change to what the front
+ends compile shows up as a diff.
+
 Usage::
 
     PYTHONPATH=src:. python tools/fingerprint.py --out FILE [--arms while,js,c]
     PYTHONPATH=src:. python tools/fingerprint.py --check FILE [--arms while,js,c]
 
-Arms: ``while``, ``js``, ``c`` (the default set), ``heap``, ``rust`` and
-``solver``.
+Arms: ``while``, ``js``, ``c`` (the default set), ``heap``, ``rust``,
+``solver`` and ``frontend``.
 
 ``--check`` exits non-zero (listing the first differing lines) if the
 regenerated fingerprint is not byte-identical to ``FILE``.
@@ -46,6 +54,7 @@ regenerated fingerprint is not byte-identical to ``FILE``.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -400,20 +409,25 @@ def _context_key(ctx) -> str:
     )
 
 
-def solver_arm() -> Dict:
-    """Every Table 1/2/3 test's solved prefix contexts, in solve order,
-    and its model-search node count (default engine configuration)."""
+def _tables():
+    """``(table, suites module, language)`` for the Table 1/2/3 corpora."""
     from repro.targets.c_like.collections import suites as c_suites
     from repro.targets.js_like.buckets import suites as js_suites
     from repro.targets.rust_like import MiniRustLanguage
     from repro.targets.rust_like.collections import suites as rust_suites
 
-    section: Dict[str, Dict] = {}
-    for table, suites, language in (
+    return (
         ("table1", js_suites, MiniJSLanguage()),
         ("table2", c_suites, MiniCLanguage()),
         ("table3", rust_suites, MiniRustLanguage()),
-    ):
+    )
+
+
+def solver_arm() -> Dict:
+    """Every Table 1/2/3 test's solved prefix contexts, in solve order,
+    and its model-search node count (default engine configuration)."""
+    section: Dict[str, Dict] = {}
+    for table, suites, language in _tables():
         tester = _KeepSolver(language, replay=False)
         for suite in suites.suite_names():
             source, tests = suites.suite(suite)
@@ -430,9 +444,56 @@ def solver_arm() -> Dict:
     return section
 
 
+#: deep-paths corpus seeds the ``frontend`` arm compiles with the library
+FRONTEND_DEEP_SEEDS = tuple(range(10))
+
+#: cross-target seeds the ``frontend`` arm compiles on every target
+FRONTEND_CROSS_SEEDS = tuple(range(50))
+
+
+def _compiled_key(prog) -> Dict:
+    """A compiled program: its GIL command count and the SHA-256 of its
+    printed text."""
+    from repro.gil.text import print_prog
+
+    return {
+        "gil_cmds": sum(len(proc.body) for proc in prog.procs.values()),
+        "sha256": hashlib.sha256(print_prog(prog).encode("utf-8")).hexdigest(),
+    }
+
+
+def frontend_arm() -> Dict:
+    """What the front ends compile: every Table 1/2/3 suite, the MiniC
+    Collections library with each deep-paths seed, and each cross-target
+    seed on all four targets."""
+    from perfbench import deepgen
+    from repro.targets.c_like.collections.library import full_library
+    from repro.testing.genprog import cross_languages, generate_cross_program
+
+    section: Dict[str, Dict] = {}
+    for table, suites, language in _tables():
+        for suite in suites.suite_names():
+            source, _ = suites.suite(suite)
+            section[f"{table}/{suite}"] = _compiled_key(language.compile(source))
+    library = full_library()
+    for seed in FRONTEND_DEEP_SEEDS:
+        source, _ = deepgen.generate(seed)
+        section[f"deep-paths/{seed}"] = _compiled_key(
+            MiniCLanguage().compile(library + "\n" + source)
+        )
+    languages = cross_languages()
+    for seed in FRONTEND_CROSS_SEEDS:
+        sources = generate_cross_program(seed).sources
+        for target, language in languages.items():
+            section[f"cross/{seed}/{target}"] = _compiled_key(
+                language.compile(sources[target])
+            )
+    return section
+
+
 ARMS = {
     "while": while_arm, "js": js_arm, "c": c_arm, "heap": heap_arm,
-    "rust": rust_arm, "solver": solver_arm,
+    "rust": rust_arm, "solver": solver_arm, "frontend": frontend_arm,
 }
 
 
