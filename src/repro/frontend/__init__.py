@@ -1,6 +1,9 @@
-"""Shared front-end utilities: lexer and label-resolving GIL emitter."""
+"""Shared front-end utilities: lexer, grammar helpers and label-resolving GIL emitter."""
 
-from repro.frontend.emitter import Emitter, Label
+from repro.frontend.emitter import CompileError, Emitter, Label
 from repro.frontend.lexer import LexError, ParseError, Token, TokenStream, tokenize
 
-__all__ = ["Emitter", "Label", "LexError", "ParseError", "Token", "TokenStream", "tokenize"]
+__all__ = [
+    "CompileError", "Emitter", "Label", "LexError", "ParseError", "Token", "TokenStream",
+    "tokenize",
+]

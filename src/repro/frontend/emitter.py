@@ -1,4 +1,4 @@
-"""A label-resolving GIL code emitter shared by the three compilers.
+"""A label-resolving GIL code emitter shared by the four compilers.
 
 The paper's compiler (Fig. 2) threads an explicit program counter; doing
 that by hand for structured control flow is error-prone, so compilers emit
@@ -12,6 +12,10 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.gil.syntax import Command, Goto, IfGoto
+
+
+class CompileError(Exception):
+    """Raised when a parsed TL program cannot be lowered to GIL."""
 
 
 class Label:
@@ -41,10 +45,6 @@ class Emitter:
         """A fresh compiler-generated variable name."""
         self._temp += 1
         return f"__{prefix}{self._temp}"
-
-    @property
-    def next_index(self) -> int:
-        return len(self._cmds)
 
     def emit(self, cmd: Command) -> int:
         idx = len(self._cmds)

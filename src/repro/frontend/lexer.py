@@ -22,12 +22,34 @@ this order at each position (the first rule that matches wins):
 block comment or string literal (at its start), a malformed number
 literal (at its start), and any other character: one no rule accepts, a
 non-decimal digit such as ``²`` or a number sign such as ``½``.
+
+Parsers walk the tokens with a :class:`TokenStream`, whose three grammar
+helpers each call their ``parse`` or ``operand`` argument with the
+stream:
+
+* ``binary(levels, operand)`` parses left-associative binary operators
+  by precedence climbing.  ``levels`` is the language's table, mapping
+  an operator's text to ``(level, kind, build)``: a token is that
+  operator only if its kind is ``kind`` too (While's ``and`` is an
+  ``ident``; a ``string`` token ``"+"`` is no operator), a higher level
+  binds tighter, and ``build(left, right)`` makes the node.  After each
+  operand, an operator whose level is at least the floor (0 at the
+  start) is consumed and its right operand climbed with the floor one
+  above its level; any other token ends the climb.  So ``a - b - c`` is
+  ``(a - b) - c`` and ``a + b * c`` is ``a + (b * c)``.  Prefix
+  operators belong to ``operand`` and bind tighter than any binary one.
+* ``items(parse, close)`` parses ``parse (',' parse)*``, or nothing when
+  the next token is ``close``, then consumes ``close``; it returns a
+  tuple.
+* ``block(parse)`` parses ``'{' parse* '}'`` into a tuple.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, NamedTuple, Optional, Pattern, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Pattern, Sequence, Tuple,
+)
 
 
 class Token(NamedTuple):
@@ -158,9 +180,6 @@ class TokenStream:
         tok = self.tokens[self.pos]
         return tok.text == text and tok.kind == kind
 
-    def at_ident(self, text: str) -> bool:
-        return self.at(text, kind="ident")
-
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != "eof":
@@ -188,6 +207,42 @@ class TokenStream:
         if tok.kind != kind:
             raise ParseError(f"expected {kind}, found {tok.text!r}", tok)
         return self.advance()
+
+    def binary(
+        self,
+        levels: Mapping[str, Tuple[int, str, Callable[[Any, Any], Any]]],
+        operand: Callable[["TokenStream"], Any],
+        floor: int = 0,
+    ) -> Any:
+        """Operands joined by the operators of ``levels`` at or above
+        ``floor``, by precedence climbing (see the module docstring)."""
+        left = operand(self)
+        while True:
+            tok = self.tokens[self.pos]
+            entry = levels.get(tok.text)
+            if entry is None or entry[0] < floor or entry[1] != tok.kind:
+                return left
+            self.pos += 1
+            left = entry[2](left, self.binary(levels, operand, entry[0] + 1))
+
+    def items(self, parse: Callable[["TokenStream"], Any], close: str) -> Tuple[Any, ...]:
+        """A comma-separated, possibly empty list ended by ``close``."""
+        parsed = []
+        if not self.at(close):
+            parsed.append(parse(self))
+            while self.accept(","):
+                parsed.append(parse(self))
+        self.expect(close)
+        return tuple(parsed)
+
+    def block(self, parse: Callable[["TokenStream"], Any]) -> Tuple[Any, ...]:
+        """A braced sequence: ``'{' parse* '}'``."""
+        self.expect("{")
+        parsed = []
+        while not self.at("}"):
+            parsed.append(parse(self))
+        self.expect("}")
+        return tuple(parsed)
 
 
 class ParseError(Exception):

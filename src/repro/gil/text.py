@@ -182,12 +182,7 @@ def _parse_proc(ts: TokenStream) -> Proc:
     ts.expect("proc", kind="ident")
     name = ts.expect_kind("ident").text
     ts.expect("(")
-    params: List[str] = []
-    if not ts.at(")"):
-        params.append(ts.expect_kind("ident").text)
-        while ts.accept(","):
-            params.append(ts.expect_kind("ident").text)
-    ts.expect(")")
+    params = ts.items(lambda ts: ts.expect_kind("ident").text, ")")
     ts.expect("{")
     body: List[Command] = []
     while not ts.at("}"):
@@ -197,7 +192,7 @@ def _parse_proc(ts: TokenStream) -> Proc:
         ts.expect(":")
         body.append(_parse_command(ts))
     ts.expect("}")
-    return Proc(name, tuple(params), tuple(body))
+    return Proc(name, params, tuple(body))
 
 
 def _parse_command(ts: TokenStream) -> Command:
@@ -221,13 +216,7 @@ def _parse_command(ts: TokenStream) -> Command:
         ts.advance()
         callee = _parse_expr(ts)
         ts.expect("(")
-        args: List[Expr] = []
-        if not ts.at(")"):
-            args.append(_parse_expr(ts))
-            while ts.accept(","):
-                args.append(_parse_expr(ts))
-        ts.expect(")")
-        return Call(target, callee, tuple(args))
+        return Call(target, callee, ts.items(_parse_expr, ")"))
     if ts.at("action", kind="ident"):
         ts.advance()
         action = ts.expect_kind("ident").text
@@ -276,13 +265,7 @@ def _parse_expr(ts: TokenStream) -> Expr:
         ts.expect(")")
         return BinOpExpr(_BINOPS_BY_NAME[op_text], left, right)
     if ts.accept("["):
-        items: List[Expr] = []
-        if not ts.at("]"):
-            items.append(_parse_expr(ts))
-            while ts.accept(","):
-                items.append(_parse_expr(ts))
-        ts.expect("]")
-        return EList(tuple(items))
+        return EList(ts.items(_parse_expr, "]"))
     if ts.accept("#"):
         return LVar(ts.expect_kind("ident").text)
     return Lit(_parse_value(ts)) if _at_value(ts) else PVar(ts.expect_kind("ident").text)
@@ -320,11 +303,5 @@ def _parse_value(ts: TokenStream) -> Value:
     if ts.accept("@"):
         return GilType[ts.expect_kind("ident").text]
     if ts.accept("{{"):
-        items: List[Value] = []
-        if not ts.at("}}"):
-            items.append(_parse_value(ts))
-            while ts.accept(","):
-                items.append(_parse_value(ts))
-        ts.expect("}}")
-        return tuple(items)
+        return ts.items(_parse_value, "}}")
     raise ParseError(f"expected a value, found {tok.text!r}", tok)

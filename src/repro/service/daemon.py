@@ -26,7 +26,9 @@ The processing loop per claimed job:
 3. on failure, requeue with exponential backoff
    (:class:`~repro.engine.backoff.BackoffPolicy`) until the attempt
    budget is spent, then quarantine with a structured failure — a
-   poison job never wedges the queue.
+   poison job never wedges the queue.  A front-end error (``LexError``,
+   ``ParseError``, ``CompileError``) comes from the job's own source and
+   recurs on every attempt, so it is quarantined at once.
 
 Run it as a module for the CLI form used in ``docs/service.md``::
 
@@ -43,6 +45,7 @@ import traceback
 from typing import Optional, Tuple
 
 from repro.engine.backoff import BackoffPolicy
+from repro.frontend import CompileError, LexError, ParseError
 from repro.obs.service import ServiceMetrics
 from repro.service.checkpoint import CheckpointManager
 from repro.service.degrade import DegradationPolicy
@@ -238,11 +241,13 @@ class AnalysisService:
         )
 
     def _failed(self, lease: JobLease, exc: Exception) -> str:
-        """Retry with backoff, or quarantine once attempts are spent."""
+        """Quarantine a front-end error, or a job whose attempts are spent;
+        retry anything else with backoff."""
         error = "".join(
             traceback.format_exception(type(exc), exc, exc.__traceback__)
         )[-2000:]
-        if lease.attempts >= self.max_attempts:
+        permanent = isinstance(exc, (LexError, ParseError, CompileError))
+        if permanent or lease.attempts >= self.max_attempts:
             self.queue.quarantine(lease, error)
             self.metrics.job_quarantined()
             return "quarantined"

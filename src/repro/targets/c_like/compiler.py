@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.frontend.emitter import Emitter, Label
+from repro.frontend.emitter import CompileError, Emitter, Label
 from repro.gil.syntax import (
     ActionCall,
     Assignment,
@@ -76,12 +76,6 @@ from repro.targets.c_like.ctypes import (
 ACTIONS = frozenset(
     {"alloc", "free", "load", "store", "memcpy", "memset", "cmp_ptr", "bounds"}
 )
-
-
-class CompileError(Exception):
-    """Raised when MiniC source cannot be lowered to GIL."""
-
-    pass
 
 
 class BoolType(CType):

@@ -28,14 +28,16 @@ Statements: declarations (with optional initialiser and stack arrays
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Tuple
 
-from repro.frontend.lexer import ParseError, Token, TokenStream, tokenize
+from repro.frontend.lexer import ParseError, TokenStream, tokenize
 from repro.targets.c_like import ast
 from repro.targets.c_like.ctypes import (
     CHAR,
     INT,
     VOID,
+    ArrayType,
     CType,
     PointerType,
     StructType,
@@ -51,6 +53,14 @@ _SYMB_TYPES = {
     "symb_int": "int",
     "symb_char": "char",
     "symb_bool": "bool",
+}
+
+#: Binary operators for ``TokenStream.binary``, one string per level,
+#: loosest first.
+_BINARY = {
+    op: (level, "punct", partial(ast.Binary, op))
+    for level, ops in enumerate(["||", "&&", "== !=", "<= >= < >", "+ -", "* / %"])
+    for op in ops.split()
 }
 
 
@@ -92,39 +102,30 @@ def _parse_type(ts: TokenStream) -> CType:
 def _parse_struct(ts: TokenStream) -> ast.StructDef:
     ts.expect("struct", kind="ident")
     name = ts.expect_kind("ident").text
-    ts.expect("{")
-    fields: List[Tuple[str, CType]] = []
-    while not ts.at("}"):
-        ftype = _parse_type(ts)
-        fname = ts.expect_kind("ident").text
-        if ts.accept("["):
-            length = int(ts.expect_kind("number").text)
-            ts.expect("]")
-            from repro.targets.c_like.ctypes import ArrayType
-
-            ftype = ArrayType(ftype, length)
-        ts.expect(";")
-        fields.append((fname, ftype))
-    ts.expect("}")
+    fields = ts.block(_parse_field)
     ts.expect(";")
-    return ast.StructDef(name, tuple(fields))
+    return ast.StructDef(name, fields)
+
+
+def _parse_field(ts: TokenStream) -> Tuple[str, CType]:
+    ftype = _parse_type(ts)
+    fname = ts.expect_kind("ident").text
+    if ts.accept("["):
+        length = int(ts.expect_kind("number").text)
+        ts.expect("]")
+        ftype = ArrayType(ftype, length)
+    ts.expect(";")
+    return fname, ftype
 
 
 def _parse_function(ts: TokenStream) -> ast.FuncDef:
     ret_type = _parse_type(ts)
     name = ts.expect_kind("ident").text
     ts.expect("(")
-    params: List[ast.Param] = []
-    if not ts.at(")"):
-        if ts.at("void", kind="ident") and ts.peek(1).text == ")":
-            ts.advance()
-        else:
-            params.append(_parse_param(ts))
-            while ts.accept(","):
-                params.append(_parse_param(ts))
-    ts.expect(")")
-    body = _parse_block(ts)
-    return ast.FuncDef(ret_type, name, tuple(params), body)
+    if ts.at("void", kind="ident") and ts.peek(1).text == ")":
+        ts.advance()
+    params = ts.items(_parse_param, ")")
+    return ast.FuncDef(ret_type, name, params, ts.block(_parse_stmt))
 
 
 def _parse_param(ts: TokenStream) -> ast.Param:
@@ -133,18 +134,9 @@ def _parse_param(ts: TokenStream) -> ast.Param:
     return ast.Param(ptype, name)
 
 
-def _parse_block(ts: TokenStream) -> Tuple[ast.Statement, ...]:
-    ts.expect("{")
-    stmts: List[ast.Statement] = []
-    while not ts.at("}"):
-        stmts.append(_parse_stmt(ts))
-    ts.expect("}")
-    return tuple(stmts)
-
-
 def _parse_body_or_stmt(ts: TokenStream) -> Tuple[ast.Statement, ...]:
     if ts.at("{"):
-        return _parse_block(ts)
+        return ts.block(_parse_stmt)
     return (_parse_stmt(ts),)
 
 
@@ -248,69 +240,7 @@ def _parse_simple_stmt(ts: TokenStream) -> ast.Statement:
 
 
 def _parse_expr(ts: TokenStream) -> ast.Expression:
-    return _parse_or(ts)
-
-
-def _parse_or(ts: TokenStream) -> ast.Expression:
-    left = _parse_and(ts)
-    while ts.accept("||"):
-        left = ast.Binary("||", left, _parse_and(ts))
-    return left
-
-
-def _parse_and(ts: TokenStream) -> ast.Expression:
-    left = _parse_equality(ts)
-    while ts.accept("&&"):
-        left = ast.Binary("&&", left, _parse_equality(ts))
-    return left
-
-
-def _parse_equality(ts: TokenStream) -> ast.Expression:
-    left = _parse_relational(ts)
-    while True:
-        if ts.accept("=="):
-            left = ast.Binary("==", left, _parse_relational(ts))
-        elif ts.accept("!="):
-            left = ast.Binary("!=", left, _parse_relational(ts))
-        else:
-            return left
-
-
-def _parse_relational(ts: TokenStream) -> ast.Expression:
-    left = _parse_additive(ts)
-    while True:
-        matched = False
-        for op in ("<=", ">=", "<", ">"):
-            if ts.accept(op):
-                left = ast.Binary(op, left, _parse_additive(ts))
-                matched = True
-                break
-        if not matched:
-            return left
-
-
-def _parse_additive(ts: TokenStream) -> ast.Expression:
-    left = _parse_multiplicative(ts)
-    while True:
-        if ts.accept("+"):
-            left = ast.Binary("+", left, _parse_multiplicative(ts))
-        elif ts.accept("-"):
-            left = ast.Binary("-", left, _parse_multiplicative(ts))
-        else:
-            return left
-
-
-def _parse_multiplicative(ts: TokenStream) -> ast.Expression:
-    left = _parse_unary(ts)
-    while True:
-        if ts.accept("*"):
-            left = ast.Binary("*", left, _parse_unary(ts))
-        elif ts.accept("/"):
-            left = ast.Binary("/", left, _parse_unary(ts))
-        elif ts.accept("%"):
-            left = ast.Binary("%", left, _parse_unary(ts))
-        else:
-            return left
+    return ts.binary(_BINARY, _parse_unary)
 
 
 def _parse_unary(ts: TokenStream) -> ast.Expression:
@@ -387,14 +317,7 @@ def _parse_primary(ts: TokenStream) -> ast.Expression:
         if tok.text in _KEYWORDS:
             raise ParseError(f"unexpected keyword {tok.text!r}", tok)
         ts.advance()
-        if ts.at("("):
-            ts.expect("(")
-            args: List[ast.Expression] = []
-            if not ts.at(")"):
-                args.append(_parse_expr(ts))
-                while ts.accept(","):
-                    args.append(_parse_expr(ts))
-            ts.expect(")")
-            return ast.CallExpr(tok.text, tuple(args))
+        if ts.accept("("):
+            return ast.CallExpr(tok.text, ts.items(_parse_expr, ")"))
         return ast.Var(tok.text)
     raise ParseError(f"unexpected token {tok.text!r}", tok)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import List, Set, Tuple
 
-from repro.frontend.emitter import Emitter, Label
+from repro.frontend.emitter import CompileError, Emitter, Label
 from repro.gil.syntax import (
     ActionCall,
     Assignment,
@@ -66,12 +66,6 @@ ACTIONS = frozenset(
         "setMetadata",
     }
 )
-
-
-class CompileError(Exception):
-    """Raised when MiniJS source cannot be lowered to GIL."""
-
-    pass
 
 
 _SYMB_TYPE = {

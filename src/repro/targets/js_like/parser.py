@@ -24,6 +24,7 @@ statements, ``assume(e)``, ``assert(e)``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Tuple
 
 from repro.frontend.lexer import ParseError, Token, TokenStream, tokenize
@@ -43,6 +44,14 @@ _SYMB_TYPES = {
     "symb_bool": "bool",
 }
 
+#: Binary operators for ``TokenStream.binary``, one string per level,
+#: loosest first; ``?:`` sits below them in ``_parse_expr``.
+_BINARY = {
+    op: (level, "punct", partial(ast.Binary, op))
+    for level, ops in enumerate(["||", "&&", "=== !==", "<= >= < >", "+ -", "* / %"])
+    for op in ops.split()
+}
+
 
 def parse_program(source: str) -> ast.Program:
     ts = TokenStream(tokenize(source))
@@ -56,28 +65,13 @@ def _parse_function(ts: TokenStream) -> ast.FunctionDef:
     ts.expect("function", kind="ident")
     name = ts.expect_kind("ident").text
     ts.expect("(")
-    params: List[str] = []
-    if not ts.at(")"):
-        params.append(ts.expect_kind("ident").text)
-        while ts.accept(","):
-            params.append(ts.expect_kind("ident").text)
-    ts.expect(")")
-    body = _parse_block(ts)
-    return ast.FunctionDef(name, tuple(params), body)
-
-
-def _parse_block(ts: TokenStream) -> Tuple[ast.Statement, ...]:
-    ts.expect("{")
-    stmts: List[ast.Statement] = []
-    while not ts.at("}"):
-        stmts.append(_parse_stmt(ts))
-    ts.expect("}")
-    return tuple(stmts)
+    params = ts.items(lambda ts: ts.expect_kind("ident").text, ")")
+    return ast.FunctionDef(name, params, ts.block(_parse_stmt))
 
 
 def _parse_body_or_stmt(ts: TokenStream) -> Tuple[ast.Statement, ...]:
     if ts.at("{"):
-        return _parse_block(ts)
+        return ts.block(_parse_stmt)
     return (_parse_stmt(ts),)
 
 
@@ -196,83 +190,14 @@ def _make_assign(tok: Token, target: ast.Expression, value: ast.Expression) -> a
 # -- expressions ----------------------------------------------------------------
 
 def _parse_expr(ts: TokenStream) -> ast.Expression:
-    return _parse_conditional(ts)
-
-
-def _parse_conditional(ts: TokenStream) -> ast.Expression:
-    cond = _parse_or(ts)
+    """``c ? a : b`` over the binary operators, which all bind tighter."""
+    cond = ts.binary(_BINARY, _parse_unary)
     if ts.accept("?"):
         then_expr = _parse_expr(ts)
         ts.expect(":")
         else_expr = _parse_expr(ts)
         return ast.Conditional(cond, then_expr, else_expr)
     return cond
-
-
-def _parse_or(ts: TokenStream) -> ast.Expression:
-    left = _parse_and(ts)
-    while ts.accept("||"):
-        left = ast.Binary("||", left, _parse_and(ts))
-    return left
-
-
-def _parse_and(ts: TokenStream) -> ast.Expression:
-    left = _parse_equality(ts)
-    while ts.accept("&&"):
-        left = ast.Binary("&&", left, _parse_equality(ts))
-    return left
-
-
-def _parse_equality(ts: TokenStream) -> ast.Expression:
-    left = _parse_relational(ts)
-    while True:
-        if ts.accept("==="):
-            left = ast.Binary("===", left, _parse_relational(ts))
-        elif ts.accept("!=="):
-            left = ast.Binary("!==", left, _parse_relational(ts))
-        else:
-            return left
-
-
-def _parse_relational(ts: TokenStream) -> ast.Expression:
-    left = _parse_additive(ts)
-    while True:
-        matched = False
-        for op in ("<=", ">=", "<", ">"):
-            if ts.accept(op):
-                left = ast.Binary(op, left, _parse_additive(ts))
-                matched = True
-                break
-        if not matched:
-            return left
-
-
-def _parse_additive(ts: TokenStream) -> ast.Expression:
-    left = _parse_multiplicative(ts)
-    while True:
-        if ts.at("+") :
-            # Don't swallow '+=' (handled at statement level) — lexer
-            # already splits '+=' as one token, so plain '+' is safe.
-            ts.advance()
-            left = ast.Binary("+", left, _parse_multiplicative(ts))
-        elif ts.at("-"):
-            ts.advance()
-            left = ast.Binary("-", left, _parse_multiplicative(ts))
-        else:
-            return left
-
-
-def _parse_multiplicative(ts: TokenStream) -> ast.Expression:
-    left = _parse_unary(ts)
-    while True:
-        if ts.accept("*"):
-            left = ast.Binary("*", left, _parse_unary(ts))
-        elif ts.accept("/"):
-            left = ast.Binary("/", left, _parse_unary(ts))
-        elif ts.accept("%"):
-            left = ast.Binary("%", left, _parse_unary(ts))
-        else:
-            return left
 
 
 def _parse_unary(ts: TokenStream) -> ast.Expression:
@@ -296,15 +221,8 @@ def _parse_postfix(ts: TokenStream) -> ast.Expression:
             prop = _parse_expr(ts)
             ts.expect("]")
             expr = ast.Member(expr, prop)
-        elif ts.at("("):
-            ts.expect("(")
-            args: List[ast.Expression] = []
-            if not ts.at(")"):
-                args.append(_parse_expr(ts))
-                while ts.accept(","):
-                    args.append(_parse_expr(ts))
-            ts.expect(")")
-            expr = ast.CallExpr(expr, tuple(args))
+        elif ts.accept("("):
+            expr = ast.CallExpr(expr, ts.items(_parse_expr, ")"))
         else:
             return expr
 
@@ -329,24 +247,10 @@ def _parse_primary(ts: TokenStream) -> ast.Expression:
         expr = _parse_expr(ts)
         ts.expect(")")
         return expr
-    if ts.at("{"):
-        ts.expect("{")
-        props: List[Tuple[str, ast.Expression]] = []
-        if not ts.at("}"):
-            props.append(_parse_object_prop(ts))
-            while ts.accept(","):
-                props.append(_parse_object_prop(ts))
-        ts.expect("}")
-        return ast.ObjectLit(tuple(props))
-    if ts.at("["):
-        ts.expect("[")
-        items: List[ast.Expression] = []
-        if not ts.at("]"):
-            items.append(_parse_expr(ts))
-            while ts.accept(","):
-                items.append(_parse_expr(ts))
-        ts.expect("]")
-        return ast.ArrayLit(tuple(items))
+    if ts.accept("{"):
+        return ast.ObjectLit(ts.items(_parse_object_prop, "}"))
+    if ts.accept("["):
+        return ast.ArrayLit(ts.items(_parse_expr, "]"))
     if tok.kind == "ident":
         if tok.text in _SYMB_TYPES:
             ts.advance()

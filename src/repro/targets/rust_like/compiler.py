@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.frontend.emitter import Emitter, Label
+from repro.frontend.emitter import CompileError, Emitter, Label
 from repro.gil.syntax import (
     ActionCall,
     Assignment,
@@ -75,10 +75,6 @@ HANDLE_KINDS = frozenset({OWN, REF, MUTREF})
 _VALUE_TYPE_NAMES = frozenset({"i64", "i32", "u64", "u32", "isize", "usize", "bool"})
 
 _BUILTINS = frozenset({"alloc", "len", "as_ref", "as_handle"})
-
-
-class CompileError(Exception):
-    """Raised when MiniRust source cannot be lowered to GIL."""
 
 
 def kind_of_type(t: Optional[ast.TypeExpr]) -> str:

@@ -32,6 +32,7 @@ Rust-style ``assert!(e)``; ``Box::new`` lexes as the four tokens
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Tuple
 
 from repro.frontend.lexer import ParseError, TokenStream, tokenize
@@ -43,6 +44,14 @@ _KEYWORDS = {
 }
 
 _SYMB_TYPES = {"symb_int": "int", "symb_bool": "bool"}
+
+#: Binary operators for ``TokenStream.binary``, one string per level,
+#: loosest first.
+_BINARY = {
+    op: (level, "punct", partial(ast.Binary, op))
+    for level, ops in enumerate(["||", "&&", "== !=", "<= >= < >", "+ -", "* / %"])
+    for op in ops.split()
+}
 
 
 def parse_program(source: str) -> ast.Program:
@@ -59,17 +68,11 @@ def _parse_fn(ts: TokenStream) -> ast.FnDef:
     ts.expect("fn", kind="ident")
     name = ts.expect_kind("ident").text
     ts.expect("(")
-    params: List[ast.Param] = []
-    if not ts.at(")"):
-        params.append(_parse_param(ts))
-        while ts.accept(","):
-            params.append(_parse_param(ts))
-    ts.expect(")")
+    params = ts.items(_parse_param, ")")
     ret_type: Optional[ast.TypeExpr] = None
     if ts.accept("->"):
         ret_type = _parse_type(ts)
-    body = _parse_block(ts)
-    return ast.FnDef(name, tuple(params), ret_type, body)
+    return ast.FnDef(name, params, ret_type, ts.block(_parse_stmt))
 
 
 def _parse_param(ts: TokenStream) -> ast.Param:
@@ -98,16 +101,6 @@ def _parse_type(ts: TokenStream) -> ast.TypeExpr:
     return ast.TypeExpr(name)
 
 
-def _parse_block(ts: TokenStream) -> Tuple[ast.Node, ...]:
-    """A braced statement sequence."""
-    ts.expect("{")
-    stmts: List[ast.Node] = []
-    while not ts.at("}"):
-        stmts.append(_parse_stmt(ts))
-    ts.expect("}")
-    return tuple(stmts)
-
-
 def _parse_stmt(ts: TokenStream) -> ast.Node:
     """One statement."""
     tok = ts.current
@@ -126,8 +119,7 @@ def _parse_stmt(ts: TokenStream) -> ast.Node:
             return _parse_if(ts)
         if ts.accept("while", kind="ident"):
             cond = _parse_expr(ts)
-            body = _parse_block(ts)
-            return ast.WhileStmt(cond, body)
+            return ast.WhileStmt(cond, ts.block(_parse_stmt))
         if ts.accept("return", kind="ident"):
             if ts.accept(";"):
                 return ast.ReturnStmt(None)
@@ -173,13 +165,13 @@ def _parse_stmt(ts: TokenStream) -> ast.Node:
 def _parse_if(ts: TokenStream) -> ast.IfStmt:
     """The body of an ``if`` whose keyword is already consumed."""
     cond = _parse_expr(ts)
-    then_body = _parse_block(ts)
+    then_body = ts.block(_parse_stmt)
     else_body: Tuple[ast.Node, ...] = ()
     if ts.accept("else", kind="ident"):
         if ts.accept("if", kind="ident"):
             else_body = (_parse_if(ts),)
         else:
-            else_body = _parse_block(ts)
+            else_body = ts.block(_parse_stmt)
     return ast.IfStmt(cond, then_body, else_body)
 
 
@@ -188,75 +180,7 @@ def _parse_if(ts: TokenStream) -> ast.IfStmt:
 
 def _parse_expr(ts: TokenStream) -> ast.Node:
     """Lowest-precedence entry point."""
-    return _parse_or(ts)
-
-
-def _parse_or(ts: TokenStream) -> ast.Node:
-    """``a || b``"""
-    left = _parse_and(ts)
-    while ts.accept("||"):
-        left = ast.Binary("||", left, _parse_and(ts))
-    return left
-
-
-def _parse_and(ts: TokenStream) -> ast.Node:
-    """``a && b``"""
-    left = _parse_equality(ts)
-    while ts.accept("&&"):
-        left = ast.Binary("&&", left, _parse_equality(ts))
-    return left
-
-
-def _parse_equality(ts: TokenStream) -> ast.Node:
-    """``a == b``, ``a != b``"""
-    left = _parse_relational(ts)
-    while True:
-        if ts.accept("=="):
-            left = ast.Binary("==", left, _parse_relational(ts))
-        elif ts.accept("!="):
-            left = ast.Binary("!=", left, _parse_relational(ts))
-        else:
-            return left
-
-
-def _parse_relational(ts: TokenStream) -> ast.Node:
-    """``< <= > >=``"""
-    left = _parse_additive(ts)
-    while True:
-        matched = False
-        for op in ("<=", ">=", "<", ">"):
-            if ts.accept(op):
-                left = ast.Binary(op, left, _parse_additive(ts))
-                matched = True
-                break
-        if not matched:
-            return left
-
-
-def _parse_additive(ts: TokenStream) -> ast.Node:
-    """``+ -``"""
-    left = _parse_multiplicative(ts)
-    while True:
-        if ts.accept("+"):
-            left = ast.Binary("+", left, _parse_multiplicative(ts))
-        elif ts.accept("-"):
-            left = ast.Binary("-", left, _parse_multiplicative(ts))
-        else:
-            return left
-
-
-def _parse_multiplicative(ts: TokenStream) -> ast.Node:
-    """``* / %``"""
-    left = _parse_unary(ts)
-    while True:
-        if ts.accept("*"):
-            left = ast.Binary("*", left, _parse_unary(ts))
-        elif ts.accept("/"):
-            left = ast.Binary("/", left, _parse_unary(ts))
-        elif ts.accept("%"):
-            left = ast.Binary("%", left, _parse_unary(ts))
-        else:
-            return left
+    return ts.binary(_BINARY, _parse_unary)
 
 
 def _parse_unary(ts: TokenStream) -> ast.Node:
@@ -304,15 +228,10 @@ def _parse_primary(ts: TokenStream) -> ast.Node:
         ts.expect(")")
         return expr
     if ts.accept("["):
-        items: List[ast.Node] = []
-        if not ts.at("]"):
-            items.append(_parse_expr(ts))
-            while ts.accept(","):
-                items.append(_parse_expr(ts))
-        ts.expect("]")
+        items = ts.items(_parse_expr, "]")
         if not items:
             raise ParseError("empty array literal", tok)
-        return ast.ArrayLit(tuple(items))
+        return ast.ArrayLit(items)
     if tok.kind == "ident":
         if tok.text == "Box" and ts.peek(1).text == ":":
             ts.advance()
@@ -332,12 +251,6 @@ def _parse_primary(ts: TokenStream) -> ast.Node:
             raise ParseError(f"unexpected keyword {tok.text!r}", tok)
         ts.advance()
         if ts.accept("("):
-            args: List[ast.Node] = []
-            if not ts.at(")"):
-                args.append(_parse_expr(ts))
-                while ts.accept(","):
-                    args.append(_parse_expr(ts))
-            ts.expect(")")
-            return ast.CallExpr(tok.text, tuple(args))
+            return ast.CallExpr(tok.text, ts.items(_parse_expr, ")"))
         return ast.Var(tok.text)
     raise ParseError(f"unexpected token {tok.text!r}", tok)

@@ -24,9 +24,10 @@ literals ``[e1, ..., en]``; equality is ``=`` (with ``!=`` sugar).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from functools import partial
+from typing import Tuple
 
-from repro.frontend.lexer import ParseError, Token, TokenStream, tokenize
+from repro.frontend.lexer import ParseError, TokenStream, tokenize
 from repro.gil.values import NULL
 from repro.logic.expr import (
     BinOp,
@@ -91,6 +92,27 @@ _SYMB_TYPES = {
 }
 
 
+#: Binary operators for ``TokenStream.binary``: text -> (level, token
+#: kind, build); ``!=`` is ``not (a = b)``, and ``>=``/``>`` swap their
+#: operands into ``<=``/``<``.
+_BINARY = {
+    "or": (0, "ident", partial(BinOpExpr, BinOp.OR)),
+    "and": (1, "ident", partial(BinOpExpr, BinOp.AND)),
+    "=": (2, "punct", partial(BinOpExpr, BinOp.EQ)),
+    "!=": (2, "punct", lambda a, b: UnOpExpr(UnOp.NOT, BinOpExpr(BinOp.EQ, a, b))),
+    "<=": (2, "punct", partial(BinOpExpr, BinOp.LEQ)),
+    "<": (2, "punct", partial(BinOpExpr, BinOp.LT)),
+    ">=": (2, "punct", lambda a, b: BinOpExpr(BinOp.LEQ, b, a)),
+    ">": (2, "punct", lambda a, b: BinOpExpr(BinOp.LT, b, a)),
+    "++": (3, "punct", partial(BinOpExpr, BinOp.SCONCAT)),
+    "+": (3, "punct", partial(BinOpExpr, BinOp.ADD)),
+    "-": (3, "punct", partial(BinOpExpr, BinOp.SUB)),
+    "*": (4, "punct", partial(BinOpExpr, BinOp.MUL)),
+    "/": (4, "punct", partial(BinOpExpr, BinOp.DIV)),
+    "%": (4, "punct", partial(BinOpExpr, BinOp.MOD)),
+}
+
+
 def parse_program(source: str) -> Program:
     ts = TokenStream(tokenize(source))
     procs = []
@@ -103,23 +125,8 @@ def _parse_proc(ts: TokenStream) -> ProcDef:
     ts.expect("proc", kind="ident")
     name = ts.expect_kind("ident").text
     ts.expect("(")
-    params: List[str] = []
-    if not ts.at(")"):
-        params.append(ts.expect_kind("ident").text)
-        while ts.accept(","):
-            params.append(ts.expect_kind("ident").text)
-    ts.expect(")")
-    body = _parse_block(ts)
-    return ProcDef(name, tuple(params), body)
-
-
-def _parse_block(ts: TokenStream) -> Tuple[Stmt, ...]:
-    ts.expect("{")
-    stmts: List[Stmt] = []
-    while not ts.at("}"):
-        stmts.append(_parse_stmt(ts))
-    ts.expect("}")
-    return tuple(stmts)
+    params = ts.items(lambda ts: ts.expect_kind("ident").text, ")")
+    return ProcDef(name, params, ts.block(_parse_stmt))
 
 
 def _parse_stmt(ts: TokenStream) -> Stmt:
@@ -132,17 +139,16 @@ def _parse_stmt(ts: TokenStream) -> Stmt:
             ts.expect("(")
             cond = _parse_expr(ts)
             ts.expect(")")
-            then_body = _parse_block(ts)
+            then_body = ts.block(_parse_stmt)
             else_body: Tuple[Stmt, ...] = ()
             if ts.accept("else", kind="ident"):
-                else_body = _parse_block(ts)
+                else_body = ts.block(_parse_stmt)
             return If(cond, then_body, else_body)
         if ts.accept("while", kind="ident"):
             ts.expect("(")
             cond = _parse_expr(ts)
             ts.expect(")")
-            body = _parse_block(ts)
-            return While(cond, body)
+            return While(cond, ts.block(_parse_stmt))
         if ts.accept("return", kind="ident"):
             expr = _parse_expr(ts)
             ts.expect(";")
@@ -188,15 +194,8 @@ def _parse_stmt(ts: TokenStream) -> Stmt:
 def _parse_rhs(ts: TokenStream, target: str) -> Stmt:
     tok = ts.current
     # Object creation: x := { p: e, ... }
-    if ts.at("{"):
-        ts.expect("{")
-        props: List[Tuple[str, Expr]] = []
-        if not ts.at("}"):
-            props.append(_parse_prop(ts))
-            while ts.accept(","):
-                props.append(_parse_prop(ts))
-        ts.expect("}")
-        return New(target, tuple(props))
+    if ts.accept("{"):
+        return New(target, ts.items(_parse_prop, "}"))
     # Symbolic input: x := symb_number();
     if tok.kind == "ident" and tok.text in _SYMB_TYPES:
         ts.advance()
@@ -214,13 +213,7 @@ def _parse_rhs(ts: TokenStream, target: str) -> Stmt:
     ):
         func = ts.advance().text
         ts.expect("(")
-        args: List[Expr] = []
-        if not ts.at(")"):
-            args.append(_parse_expr(ts))
-            while ts.accept(","):
-                args.append(_parse_expr(ts))
-        ts.expect(")")
-        return CallStmt(target, func, tuple(args))
+        return CallStmt(target, func, ts.items(_parse_expr, ")"))
     # Property lookup: x := e.p — or a plain expression assignment.
     expr = _parse_expr(ts)
     if ts.at("."):
@@ -243,68 +236,7 @@ def _parse_prop(ts: TokenStream) -> Tuple[str, Expr]:
 
 
 def _parse_expr(ts: TokenStream) -> Expr:
-    return _parse_or(ts)
-
-
-def _parse_or(ts: TokenStream) -> Expr:
-    left = _parse_and(ts)
-    while ts.at("or", kind="ident"):
-        ts.advance()
-        left = BinOpExpr(BinOp.OR, left, _parse_and(ts))
-    return left
-
-
-def _parse_and(ts: TokenStream) -> Expr:
-    left = _parse_comparison(ts)
-    while ts.at("and", kind="ident"):
-        ts.advance()
-        left = BinOpExpr(BinOp.AND, left, _parse_comparison(ts))
-    return left
-
-
-def _parse_comparison(ts: TokenStream) -> Expr:
-    left = _parse_additive(ts)
-    while True:
-        if ts.accept("="):
-            left = BinOpExpr(BinOp.EQ, left, _parse_additive(ts))
-        elif ts.accept("!="):
-            left = UnOpExpr(UnOp.NOT, BinOpExpr(BinOp.EQ, left, _parse_additive(ts)))
-        elif ts.accept("<="):
-            left = BinOpExpr(BinOp.LEQ, left, _parse_additive(ts))
-        elif ts.accept("<"):
-            left = BinOpExpr(BinOp.LT, left, _parse_additive(ts))
-        elif ts.accept(">="):
-            left = BinOpExpr(BinOp.LEQ, _parse_additive(ts), left)
-        elif ts.accept(">"):
-            left = BinOpExpr(BinOp.LT, _parse_additive(ts), left)
-        else:
-            return left
-
-
-def _parse_additive(ts: TokenStream) -> Expr:
-    left = _parse_multiplicative(ts)
-    while True:
-        if ts.accept("++"):
-            left = BinOpExpr(BinOp.SCONCAT, left, _parse_multiplicative(ts))
-        elif ts.accept("+"):
-            left = BinOpExpr(BinOp.ADD, left, _parse_multiplicative(ts))
-        elif ts.accept("-"):
-            left = BinOpExpr(BinOp.SUB, left, _parse_multiplicative(ts))
-        else:
-            return left
-
-
-def _parse_multiplicative(ts: TokenStream) -> Expr:
-    left = _parse_unary(ts)
-    while True:
-        if ts.accept("*"):
-            left = BinOpExpr(BinOp.MUL, left, _parse_unary(ts))
-        elif ts.accept("/"):
-            left = BinOpExpr(BinOp.DIV, left, _parse_unary(ts))
-        elif ts.accept("%"):
-            left = BinOpExpr(BinOp.MOD, left, _parse_unary(ts))
-        else:
-            return left
+    return ts.binary(_BINARY, _parse_unary)
 
 
 def _parse_unary(ts: TokenStream) -> Expr:
@@ -335,13 +267,7 @@ def _parse_primary(ts: TokenStream) -> Expr:
         ts.expect(")")
         return expr
     if ts.accept("["):
-        items: List[Expr] = []
-        if not ts.at("]"):
-            items.append(_parse_expr(ts))
-            while ts.accept(","):
-                items.append(_parse_expr(ts))
-        ts.expect("]")
-        return EList(tuple(items))
+        return EList(ts.items(_parse_expr, "]"))
     if tok.kind == "ident":
         if tok.text in _BUILTIN_UNARY:
             ts.advance()

@@ -7,7 +7,7 @@ import pytest
 from repro import MiniCLanguage, MiniJSLanguage, MiniRustLanguage, WhileLanguage
 from repro.frontend import lexer
 from repro.frontend.emitter import Emitter, Label
-from repro.frontend.lexer import LexError, ParseError, TokenStream, tokenize
+from repro.frontend.lexer import LexError, ParseError, Token, TokenStream, tokenize
 from repro.gil.syntax import Assignment, Goto, IfGoto, Return
 from repro.logic.expr import Lit, PVar
 from repro.targets.c_like import RUNTIME as C_RUNTIME
@@ -153,6 +153,81 @@ class TestTokenStream:
         ts.advance()
         ts.advance()
         assert ts.current.kind == "eof"
+
+
+def _number(ts):
+    return ts.expect_kind("number").number_value
+
+
+class TestGrammarHelpers:
+    LEVELS = {
+        "+": (0, "punct", lambda a, b: ("+", a, b)),
+        "*": (1, "punct", lambda a, b: ("*", a, b)),
+        "or": (0, "ident", lambda a, b: ("or", a, b)),
+    }
+
+    def test_binary_climbs_by_level_left_to_right(self):
+        ts = TokenStream(tokenize("1 + 2 * 3 * 4 + 5 or 6"))
+        assert ts.binary(self.LEVELS, _number) == (
+            "or", ("+", ("+", 1, ("*", ("*", 2, 3), 4)), 5), 6
+        )
+        assert ts.current.kind == "eof"
+
+    def test_binary_matches_token_kind_as_well_as_text(self):
+        ts = TokenStream(tokenize('1 "+" 2'))
+        assert ts.binary(self.LEVELS, _number) == 1
+        assert ts.current.kind == "string"
+        ts = TokenStream(
+            [Token("number", "1", 1, 1), Token("punct", "or", 1, 3), Token("eof", "", 1, 5)]
+        )
+        assert ts.binary(self.LEVELS, _number) == 1
+        assert ts.current.kind == "punct"
+
+    def test_items_consumes_close(self):
+        ts = TokenStream(tokenize("1, 2, 3) ;"))
+        assert ts.items(_number, ")") == (1, 2, 3)
+        assert ts.current.text == ";"
+        ts = TokenStream(tokenize("]"))
+        assert ts.items(_number, "]") == ()
+        assert ts.current.kind == "eof"
+
+    def test_items_rejects_missing_comma(self):
+        with pytest.raises(ParseError) as info:
+            TokenStream(tokenize("1 2]")).items(_number, "]")
+        assert str(info.value) == "expected ']', found '2' (number) at line 1, column 3"
+
+    def test_block(self):
+        ts = TokenStream(tokenize("{ 1 2 } {}"))
+        assert ts.block(_number) == (1, 2)
+        assert ts.block(_number) == ()
+        with pytest.raises(ParseError):
+            TokenStream(tokenize("1 }")).block(_number)
+
+
+class TestCompileError:
+    @pytest.mark.parametrize(
+        "language,source",
+        [
+            (MiniJSLanguage, "function main() { break; }"),
+            (MiniCLanguage, "int main() { break; return 0; }"),
+            (MiniRustLanguage, "fn main() -> i64 { break; }"),
+        ],
+    )
+    def test_one_class_for_every_compiler(self, language, source):
+        from repro.frontend import CompileError
+
+        with pytest.raises(CompileError) as info:
+            language().compile(source)
+        assert type(info.value) is CompileError
+        assert str(info.value) == "break outside a loop"
+
+    def test_compiler_modules_reexport_it(self):
+        from repro.frontend import CompileError
+        from repro.targets.c_like import compiler as c
+        from repro.targets.js_like import compiler as js
+        from repro.targets.rust_like import compiler as rust
+
+        assert c.CompileError is js.CompileError is rust.CompileError is CompileError
 
 
 class TestEmitter:

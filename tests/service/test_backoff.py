@@ -52,6 +52,7 @@ class TestServiceRetryTiming:
         assert the queue's not_before schedule equals the policy's."""
         from repro.service.daemon import AnalysisService
         from repro.service.jobs import JobSpec
+        from tests.service.test_service import fail_runs_of
 
         policy = BackoffPolicy(base=2.0, factor=3.0, cap=10.0)
         now = [1000.0]
@@ -71,8 +72,9 @@ class TestServiceRetryTiming:
             clock=clock,
             sleep=sleep,
         )
-        # An unparseable program fails compilation on every attempt.
-        svc.submit(JobSpec(language="while", source="this is not a program"))
+        poison = JobSpec(language="while", source="this is not a program")
+        fail_runs_of(svc, poison)
+        svc.submit(poison)
 
         not_befores = []
         dispositions = []

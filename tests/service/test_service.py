@@ -109,6 +109,19 @@ class TestEndToEnd:
             svc.submit(JobSpec(language="while", source=CLEAN))
 
 
+def fail_runs_of(svc, spec):
+    """Make every run of ``spec`` raise a ``RuntimeError``, which is not a
+    front-end error, so the service retries it."""
+    run = svc.runner.run
+
+    def failing_run(job, **kw):
+        if job.key() == spec.key():
+            raise RuntimeError("runner failed")
+        return run(job, **kw)
+
+    svc.runner.run = failing_run
+
+
 class TestQuarantine:
     def test_poison_job_quarantined_with_structured_failure(self, tmp_path):
         svc = svc_for(
@@ -116,7 +129,9 @@ class TestQuarantine:
             max_attempts=2,
             backoff=BackoffPolicy(base=0.0),
         )
-        svc.submit(JobSpec(language="while", source="not a program at all"))
+        poison = JobSpec(language="while", source="not a program at all")
+        fail_runs_of(svc, poison)
+        svc.submit(poison)
         healthy = JobSpec(language="while", source=BUGGY)
         svc.submit(healthy)
         processed = svc.run_until_idle()
@@ -129,6 +144,27 @@ class TestQuarantine:
         assert svc.result_for(healthy.key()).verdict == "bug"
         counters = svc.metrics.as_dict()
         assert counters["service.jobs_retried"] == 1
+        assert counters["service.jobs_quarantined"] == 1
+
+    @pytest.mark.parametrize(
+        "language,source,error",
+        [
+            ("minijs", "function main() { return 1.2.3; }", "LexError"),
+            ("while", "not a program at all", "ParseError"),
+            ("minijs", "function main() { break; }", "CompileError"),
+        ],
+    )
+    def test_front_end_error_quarantined_on_first_attempt(
+        self, tmp_path, language, source, error
+    ):
+        svc = svc_for(tmp_path, max_attempts=3, backoff=BackoffPolicy(base=0.0))
+        svc.submit(JobSpec(language=language, source=source))
+        assert svc.process_one() == "quarantined"
+        failure = svc.queue.load_quarantined(svc.queue.quarantined_ids()[0])
+        assert failure.attempts == 1
+        assert error in failure.error
+        counters = svc.metrics.as_dict()
+        assert counters.get("service.jobs_retried", 0) == 0
         assert counters["service.jobs_quarantined"] == 1
 
     def test_unknown_language_is_poison_not_crash(self, tmp_path):
