@@ -186,9 +186,10 @@ def _parse_proc(ts: TokenStream) -> Proc:
     ts.expect("{")
     body: List[Command] = []
     while not ts.at("}"):
-        idx = int(ts.expect_kind("number").text)
+        tok = ts.expect_kind("number")
+        idx = int(tok.text)
         if idx != len(body):
-            raise ParseError(f"command index {idx} out of order", ts.current)
+            raise ParseError(f"command index {idx} out of order", tok)
         ts.expect(":")
         body.append(_parse_command(ts))
     ts.expect("}")

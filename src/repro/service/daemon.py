@@ -28,7 +28,8 @@ The processing loop per claimed job:
    budget is spent, then quarantine with a structured failure — a
    poison job never wedges the queue.  A front-end error (``LexError``,
    ``ParseError``, ``CompileError``) comes from the job's own source and
-   recurs on every attempt, so it is quarantined at once.
+   recurs on every attempt, and so does an ``InvalidJob`` (an unknown
+   language or entry procedure), so each is quarantined at once.
 
 Run it as a module for the CLI form used in ``docs/service.md``::
 
@@ -51,7 +52,7 @@ from repro.service.checkpoint import CheckpointManager
 from repro.service.degrade import DegradationPolicy
 from repro.service.jobs import JobResult, JobSpec, finals_digest
 from repro.service.queue import DurableQueue, JobLease
-from repro.service.runner import JobRunner, budget_for, verdict_for
+from repro.service.runner import InvalidJob, JobRunner, budget_for, verdict_for
 from repro.service.store import GilStore, ResultStore
 
 
@@ -241,12 +242,14 @@ class AnalysisService:
         )
 
     def _failed(self, lease: JobLease, exc: Exception) -> str:
-        """Quarantine a front-end error, or a job whose attempts are spent;
-        retry anything else with backoff."""
+        """Quarantine a front-end error, an unrunnable spec, or a job
+        whose attempts are spent; retry anything else with backoff."""
         error = "".join(
             traceback.format_exception(type(exc), exc, exc.__traceback__)
         )[-2000:]
-        permanent = isinstance(exc, (LexError, ParseError, CompileError))
+        permanent = isinstance(
+            exc, (LexError, ParseError, CompileError, InvalidJob)
+        )
         if permanent or lease.attempts >= self.max_attempts:
             self.queue.quarantine(lease, error)
             self.metrics.job_quarantined()

@@ -18,6 +18,7 @@ keyed by the same hash.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -62,7 +63,18 @@ class JobSpec:
     timeout: Optional[float] = None
 
     def key(self) -> str:
-        """The spec's content hash (hex SHA-256): the cache/queue key."""
+        """The spec's content hash (hex SHA-256): the cache/queue key.
+
+        Computed on the first call and kept on the instance (the spec is
+        frozen, so it cannot go stale): a submission asks for it in the
+        service, the queue and the client.  ``dataclasses.replace``
+        builds a new instance, which hashes afresh.
+        """
+        return self._key
+
+    @functools.cached_property
+    def _key(self) -> str:
+        """The hash behind :meth:`key`, cached in the instance dict."""
         payload = {name: getattr(self, name) for name in _KEY_FIELDS}
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()

@@ -76,14 +76,26 @@ class JobLease:
 
 
 def _record_blob(record: Dict[str, object]) -> str:
-    """Serialize a record with an embedded checksum over its body."""
+    """Serialize a record with an embedded checksum over its body.
+
+    The blob is one line, ``{"body":<body>,"sha256":"<hex>"}``, where
+    ``<body>`` is the record's canonical JSON (sorted keys, no spaces)
+    and ``<hex>`` its SHA-256: the body is encoded once, and the digest
+    covers exactly the bytes written.
+    """
     body = json.dumps(record, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return json.dumps({"body": record, "sha256": digest}, indent=1, sort_keys=True) + "\n"
+    return f'{{"body":{body},"sha256":"{digest}"}}\n'
 
 
 def _parse_blob(text: str) -> Dict[str, object]:
-    """Parse and validate a record blob; raises ``ValueError`` on damage."""
+    """Parse and validate a record blob; raises ``ValueError`` on damage.
+
+    Reads the one-line layout of :func:`_record_blob` and the older
+    indented one (``json.dumps(..., indent=1, sort_keys=True)``) alike:
+    both are a JSON object whose body re-encodes canonically to the
+    bytes its digest covers.
+    """
     wrapper = json.loads(text)
     if not isinstance(wrapper, dict) or "body" not in wrapper:
         raise ValueError("record missing body")

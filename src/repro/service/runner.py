@@ -44,7 +44,16 @@ from repro.engine.parallel import (
 from repro.engine.results import ExecutionResult, ExecutionStats, merge_results
 from repro.gil.semantics import make_call_config
 from repro.service.jobs import JobSpec
-from repro.targets import language_for
+from repro.targets import LANGUAGES, language_for
+
+
+class InvalidJob(ValueError):
+    """A spec that no attempt can run: it names an unknown language, or
+    an entry procedure that its program does not define.
+
+    Both follow from the spec alone, so the daemon quarantines such a
+    job on the attempt that raises this, as it does a front-end error.
+    """
 
 
 def budget_for(spec: JobSpec) -> Budget:
@@ -98,7 +107,12 @@ class JobRunner:
     # -- compile ------------------------------------------------------------
 
     def compile(self, spec: JobSpec) -> Tuple[object, bool]:
-        """The spec's GIL program, and whether it came from the cache."""
+        """The spec's GIL program, and whether it came from the cache.
+
+        Raises :class:`InvalidJob` if the spec's language is unknown.
+        """
+        if spec.language not in LANGUAGES:
+            raise InvalidJob(f"unknown language {spec.language!r}")
         language = language_for(spec.language)
         if self.gil_store is None:
             return language.compile(spec.source), False
@@ -126,9 +140,12 @@ class JobRunner:
         ``budget``/``unknown_policy`` override the spec (the degradation
         ladder admits jobs at a scaled budget and a pruning policy);
         ``checkpoint`` is a :class:`~repro.service.checkpoint.CheckpointManager`
-        or None to run without snapshots.
+        or None to run without snapshots.  Raises :class:`InvalidJob`
+        if the spec's language or entry procedure does not exist.
         """
         prog, cache_hit = self.compile(spec)
+        if prog.get(spec.entry) is None:
+            raise InvalidJob(f"unknown entry procedure {spec.entry!r}")
         policy = unknown_policy if unknown_policy is not None else spec.unknown_policy
         budget = budget if budget is not None else budget_for(spec)
         workers = resolve_workers(spec.workers)

@@ -20,13 +20,19 @@ programs keyed by ``JobSpec.source_key()`` (language + source),
 ``JobSpec.key()`` (the full spec hash) — the idempotent-replay cache —
 and :class:`SummaryStore` persists function summaries for the
 compositional execution layer (:mod:`repro.specs`).
+
+:class:`GilStore` also keeps a one-entry *decode slot*: the payload
+bytes it last wrote or unpickled, with their ``Prog``.  Every read still
+validates the frame first; only a validated payload equal to the slot's
+bytes skips the unpickle, so a burst of jobs over one source decodes the
+program at most once, and a damaged entry is evicted exactly as before.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.testing.io import CorruptPayload, read_checked_bytes, write_checked_bytes
 
@@ -74,7 +80,7 @@ class ContentStore:
             self._evict(key, path, f"corrupt frame: {exc}")
             return None
         try:
-            return pickle.loads(payload)
+            return self._decode(payload)
         except Exception as exc:  # payload passed checksum but not unpickle
             self._evict(key, path, f"unpicklable payload: {exc}")
             return None
@@ -96,6 +102,10 @@ class ContentStore:
             name[:-4] for name in os.listdir(self.root) if name.endswith(".bin")
         )
 
+    def _decode(self, payload: bytes) -> Any:
+        """The value of a payload whose frame has validated."""
+        return pickle.loads(payload)
+
     def _evict(self, key: str, path: str, reason: str) -> None:
         """Drop a damaged entry and surface the eviction."""
         try:
@@ -112,7 +122,40 @@ class GilStore(ContentStore):
     A ``Prog`` is plain data (procedures of frozen commands), so it
     pickles as is; the cache saves the parse/compile front end, which
     dominates for small programs resubmitted in bursts.
+
+    A suite's entry points arrive as one such burst, so consecutive
+    reads are of one entry.  The store therefore keeps a single decode
+    slot: the payload it last wrote with :meth:`put` or unpickled in
+    :meth:`get`, and that ``Prog``.  A :meth:`get` whose frame passes its
+    length and SHA-256 check, and whose payload equals the slot's bytes,
+    returns the slot's ``Prog`` without unpickling; any other payload is
+    unpickled and takes the slot.  The slot lives on the instance, so a
+    new store starts cold, and it holds one program at most.  The engine
+    never mutates a ``Prog``, so jobs may share one.
     """
+
+    def __init__(
+        self,
+        root: str,
+        on_corrupt: Optional[Callable[[str, str], None]] = None,
+    ) -> None:
+        """Open the store; the decode slot starts empty."""
+        super().__init__(root, on_corrupt)
+        self._slot: Tuple[Optional[bytes], Any] = (None, None)
+
+    def put(self, key: str, value: Any) -> None:
+        """Durably store ``value``, then keep it and its bytes in the slot."""
+        payload = pickle.dumps(value)
+        write_checked_bytes(self._path(key), payload)
+        self._slot = (payload, value)
+
+    def _decode(self, payload: bytes) -> Any:
+        """The slot's ``Prog`` for the slot's bytes; else unpickle."""
+        if payload == self._slot[0]:
+            return self._slot[1]
+        value = pickle.loads(payload)
+        self._slot = (payload, value)
+        return value
 
 
 class ResultStore(ContentStore):

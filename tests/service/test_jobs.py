@@ -41,6 +41,27 @@ class TestJobSpecKey:
         s = spec(workers=2, timeout=0.5)
         assert JobSpec.from_dict(s.to_dict()) == s
 
+    def test_key_computed_once_per_spec(self):
+        s = spec()
+        assert s.key() is s.key()
+
+    def test_replace_yields_a_fresh_key(self):
+        s = spec()
+        s.key()
+        other = replace(s, entry="other")
+        assert other.key() != s.key()
+        assert other.key() == spec(entry="other").key()
+
+    def test_pickled_roundtrip_keeps_an_equal_key(self):
+        import pickle
+
+        s = spec(max_paths=9)
+        for warm in (False, True):
+            if warm:
+                s.key()
+            back = pickle.loads(pickle.dumps(s))
+            assert back == s and back.key() == s.key()
+
 
 class TestJobResult:
     def make(self, **kw):

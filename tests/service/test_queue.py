@@ -2,6 +2,8 @@
 renames, backpressure, retry scheduling, quarantine, crash recovery,
 and poison-file handling."""
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -154,3 +156,75 @@ class TestPoisonFiles:
         open(path, "w").write(blob)
         assert q.claim() is None
         assert q.quarantined_ids() == [bad]
+
+
+def write_parent_layout(path, record):
+    """Write ``record`` as the indented layout older releases wrote."""
+    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    with open(path, "w") as fh:
+        fh.write(
+            json.dumps({"body": record, "sha256": digest}, indent=1, sort_keys=True)
+            + "\n"
+        )
+
+
+class TestRecordLayout:
+    def test_record_is_one_line_over_its_hashed_body(self, tmp_path):
+        q = DurableQueue(str(tmp_path))
+        job_id = q.submit(spec())
+        text = open(os.path.join(str(tmp_path), "pending", job_id + ".json")).read()
+        assert text.endswith("\n") and text.count("\n") == 1
+        prefix, suffix = '{"body":', ',"sha256":"'
+        assert text.startswith(prefix)
+        body, digest = text[len(prefix):].rsplit(suffix, 1)
+        assert digest == hashlib.sha256(body.encode("utf-8")).hexdigest() + '"}\n'
+        record = json.loads(body)
+        assert record["id"] == job_id
+        assert body == json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+    def test_parent_layout_pending_record_claimed_run_and_acked(self, tmp_path):
+        from repro.service import AnalysisService
+
+        job = spec(5)
+        record = {
+            "id": "00000000000000000001-1-000000-" + job.key()[:8],
+            "key": job.key(),
+            "spec": job.to_dict(),
+            "attempts": 0,
+            "not_before": 0.0,
+            "submitted_at": 1.0,
+        }
+        svc = AnalysisService(str(tmp_path))
+        write_parent_layout(svc.queue._path("pending", record["id"]), record)
+        assert svc.process_one() == "completed"
+        assert svc.queue.done_ids() == [record["id"]]
+        done = svc.queue.load_done(record["id"])
+        assert done["attempts"] == 1
+        assert done["result"]["verdict"] == "bounded-verified"
+
+    def test_parent_root_recovers_after_upgrade(self, tmp_path):
+        from repro.service import AnalysisService
+
+        jobs = [spec(1), spec(2), spec(3)]
+        q = DurableQueue(os.path.join(str(tmp_path), "queue"))
+        ids = [q.submit(job) for job in jobs]
+        active = q.claim()
+        done = q.claim()
+        q.ack(done, result_for(done))
+        # Rewrite every record as the older release left it: one pending,
+        # one active (a claim whose daemon died), one done.
+        for state, job_id in (("pending", ids[2]), ("active", active.job_id),
+                              ("done", done.job_id)):
+            path = q._path(state, job_id)
+            with open(path) as fh:
+                record = json.loads(fh.read())["body"]
+            write_parent_layout(path, record)
+
+        svc = AnalysisService(str(tmp_path))
+        assert svc.recovered == 1
+        assert svc.run_until_idle() == 2
+        assert svc.queue.done_ids() == sorted(ids)
+        assert svc.queue.quarantined_ids() == []
+        assert svc.queue.load_done(active.job_id)["attempts"] == 2
+        assert svc.queue.load_done(done.job_id)["result"]["verdict"] == "bounded-verified"

@@ -102,6 +102,49 @@ class TestEndToEnd:
         assert counters["service.cache_miss"] == 1
         assert counters["service.cache_hit_gil"] == 1
 
+    def test_entry_point_burst_unpickles_the_program_at_most_once(
+        self, tmp_path, monkeypatch
+    ):
+        import pickle
+
+        from repro.gil.syntax import Prog
+        from repro.service.jobs import finals_digest
+        from repro.service.runner import JobRunner
+
+        src = BUGGY + CLEAN.replace("proc main()", "proc clean()") + (
+            "\nproc other() { return 0; }\n"
+        )
+        specs = [
+            JobSpec(language="while", source=src, entry=entry)
+            for entry in ("main", "clean", "other", "main")
+        ]
+        specs[3] = JobSpec(language="while", source=src, max_paths=77)
+        decoded = []
+        real = pickle.loads
+
+        def counting(data, *args, **kwargs):
+            value = real(data, *args, **kwargs)
+            if isinstance(value, Prog):
+                decoded.append(value)
+            return value
+
+        monkeypatch.setattr(pickle, "loads", counting)
+        svc = svc_for(tmp_path)
+        svc.submit(specs[0])
+        assert svc.run_until_idle() == 1  # compiles and writes the entry
+        # A new incarnation opens the store cold and drains the rest.
+        svc = svc_for(tmp_path)
+        for spec in specs[1:]:
+            svc.submit(spec)
+        assert svc.run_until_idle() == 3
+        assert svc.metrics.as_dict()["service.cache_hit_gil"] == 3
+        assert len(decoded) == 1  # the cold store's first read
+        for spec in specs:
+            fresh = JobRunner().run(spec).result  # compiles afresh
+            assert svc.result_for(spec.key()).finals_digest == finals_digest(
+                fresh.finals
+            )
+
     def test_queue_capacity_backpressure(self, tmp_path):
         svc = svc_for(tmp_path, capacity=1)
         svc.submit(JobSpec(language="while", source=BUGGY))
@@ -166,6 +209,34 @@ class TestQuarantine:
         counters = svc.metrics.as_dict()
         assert counters.get("service.jobs_retried", 0) == 0
         assert counters["service.jobs_quarantined"] == 1
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            (JobSpec(language="cobol", source="IDENTIFICATION DIVISION."),
+             "unknown language 'cobol'"),
+            (JobSpec(language="while", source="proc main() { return 1; }",
+                     entry="nope"),
+             "unknown entry procedure 'nope'"),
+        ],
+    )
+    def test_unrunnable_spec_quarantined_on_first_attempt(
+        self, tmp_path, spec, message
+    ):
+        svc = svc_for(tmp_path, max_attempts=3, backoff=BackoffPolicy(base=0.0))
+        svc.submit(spec)
+        assert svc.process_one() == "quarantined"
+        failure = svc.queue.load_quarantined(svc.queue.quarantined_ids()[0])
+        assert failure.attempts == 1
+        assert "InvalidJob" in failure.error and message in failure.error
+        assert svc.metrics.as_dict().get("service.jobs_retried", 0) == 0
+
+    def test_other_runtime_error_still_retried(self, tmp_path):
+        # A GilRuntimeError that is not a missing entry keeps the ladder.
+        svc = svc_for(tmp_path, max_attempts=3, backoff=BackoffPolicy(base=0.0))
+        svc.submit(JobSpec(language="while", source="proc main(a) { return a; }"))
+        assert svc.process_one() == "retried"
+        assert "GilRuntimeError" in svc.queue.claim().record["last_error"]
 
     def test_unknown_language_is_poison_not_crash(self, tmp_path):
         svc = svc_for(

@@ -99,3 +99,70 @@ class TestGilStore:
         outcome = JobRunner(gil_store=store).run(spec)
         assert outcome.compile_cache_hit
         assert outcome.result.stats.paths_finished == 1
+
+
+def while_prog(result):
+    from repro.targets import language_for
+
+    return language_for("while").compile(f"proc main() {{ return {result}; }}")
+
+
+@pytest.fixture
+def unpickles(monkeypatch):
+    """Count every ``pickle.loads`` call made while the test runs."""
+    import pickle
+
+    calls = []
+    real = pickle.loads
+
+    def counting(data, *args, **kwargs):
+        calls.append(data)
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(pickle, "loads", counting)
+    return calls
+
+
+class TestGilStoreDecodeSlot:
+    def test_unchanged_entry_unpickled_once(self, tmp_path, unpickles):
+        GilStore(str(tmp_path)).put(KEY, while_prog(1))
+        store = GilStore(str(tmp_path))  # a new instance starts cold
+        first = store.get(KEY)
+        second = store.get(KEY)
+        assert first is second
+        assert len(unpickles) == 1
+        assert repr(first) == repr(while_prog(1))
+
+    def test_changed_bytes_unpickle_a_new_object(self, tmp_path, unpickles):
+        store = GilStore(str(tmp_path))
+        old = while_prog(1)
+        store.put(KEY, old)
+        # Another writer (a second incarnation) replaces the entry.
+        GilStore(str(tmp_path)).put(KEY, while_prog(2))
+        new = store.get(KEY)
+        assert new is not old
+        assert repr(new) == repr(while_prog(2))
+        assert len(unpickles) == 1
+        # A put of this instance refreshes the slot in turn.
+        third = while_prog(3)
+        store.put(KEY, third)
+        assert store.get(KEY) is third
+        assert len(unpickles) == 1
+
+    @pytest.mark.parametrize("damage", ["bit flip", "truncation"])
+    def test_damaged_entry_never_served_from_slot(self, tmp_path, damage):
+        seen = []
+        GilStore(str(tmp_path)).put(KEY, while_prog(1))
+        store = GilStore(str(tmp_path), on_corrupt=lambda k, r: seen.append(k))
+        assert store.get(KEY) is not None  # fills the slot
+        path = os.path.join(str(tmp_path), KEY + ".bin")
+        blob = bytearray(open(path, "rb").read())
+        if damage == "bit flip":
+            blob[-1] ^= 0x01
+        else:
+            del blob[len(blob) // 2 :]
+        open(path, "wb").write(bytes(blob))
+
+        assert store.get(KEY) is None
+        assert not os.path.exists(path)
+        assert seen == [KEY]

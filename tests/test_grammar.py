@@ -146,6 +146,7 @@ PARSERS = {
         ("gil", "proc main() {\n  0: x := [1 2]\n}", "expected ']', found '2' (number)", 2, 14),
         ("gil", "proc main() {\n  0: x := {{1, }}\n}", "expected a value, found '}}'", 2, 16),
         ("gil", "proc main() {\n  0: x := (1 foo 2)\n}", "unknown operator 'foo'", 2, 14),
+        ("gil", "proc main() {\n  1: x := 1\n}", "command index 1 out of order", 2, 3),
     ],
 )
 def test_parse_errors_keep_message_and_position(language, source, message, line, col):
