@@ -229,6 +229,56 @@ CORPUS = {
           free(q);
           return r;
         }""",
+    "addressed_parameter": """
+        int bump(int x) {
+          int *p = &x;
+          *p = *p + 1;
+          return x;
+        }
+        int main() { return bump(41); }""",
+    "declarations_without_initialiser": """
+        void set(int *out) { *out = 7; }
+        int main() {
+          int a;
+          int b;
+          set(&b);
+          a = b + 1;
+          return a;
+        }""",
+    "nested_struct_and_array_fields": """
+        struct Inner { int x; int items[3]; };
+        struct Outer { int k; struct Inner in; };
+        int main() {
+          struct Outer *o = (struct Outer *) malloc(sizeof(struct Outer));
+          o->in.x = 5;
+          (*o).k = 2;
+          int *items = o->in.items;
+          items[1] = 4;
+          struct Inner *q = o->in;
+          int r = q->x + o->in.items[1] + o->k;
+          free(o);
+          return r;
+        }""",
+    "logical_operators_as_values": """
+        int main() {
+          int t = 1;
+          int f = 0;
+          int a = !f;
+          int b = t && f;
+          int c = f || t;
+          int d = !(t < f);
+          return a * 1000 + b * 100 + c * 10 + d;
+        }""",
+    "pointer_as_condition": """
+        int main() {
+          int *p = (int *) malloc(4);
+          int *q = NULL;
+          int r = 0;
+          if (p) { r = r + 1; }
+          if (q) { r = r + 10; }
+          free(p);
+          return r;
+        }""",
 }
 
 

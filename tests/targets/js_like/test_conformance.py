@@ -149,6 +149,12 @@ CORPUS = {
           o["x"] = "str";
           return o[1];
         }""",
+    "inline_builtins": """
+        function main() {
+          var c = char_at("abc", 1);
+          var m = min_of(3, 4) * 10 + max_of(5, 6);
+          return c === "b" ? m : 0;
+        }""",
 }
 
 

@@ -160,6 +160,25 @@ CORPUS = {
           return r;
         }""",
     "assert_failure": "fn main() -> i64 { assert!(1 == 2); return 0; }",
+    "operators_builtins_and_unit_return": """
+        fn set(b: &mut Box, v: i64) {
+          *b = v;
+          return;
+        }
+        fn main() -> i64 {
+          let mut b = Box::new(1);
+          set(&mut b, 5);
+          let n = -(*b);
+          let t = !(n >= 0);
+          let u = t && n < 0;
+          let w = false || t;
+          let a = alloc(3);
+          let k = len(&a);
+          drop(a);
+          let v = *b;
+          drop(b);
+          return v * 1000 + n + t * 100 + u * 10 + w + k;
+        }""",
 }
 
 FAULTS = {

@@ -134,6 +134,7 @@ CORPUS = {
     "shadowing_call_params": """
         proc f(x) { x := x + 1; return x; }
         proc main() { x := 10; r := f(1); return x + r; }""",
+    "skip": "proc main() { skip; x := 1; return x; }",
 }
 
 
