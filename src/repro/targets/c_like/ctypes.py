@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.frontend.emitter import CompileError
+
 
 class CType:
     """Base class for MiniC types."""
@@ -101,7 +103,7 @@ class TypeTable:
 
     def define_struct(self, name: str, fields: List[Tuple[str, CType]]) -> StructLayout:
         if name in self.structs:
-            raise TypeError(f"struct {name} redefined")
+            raise CompileError(f"struct {name} redefined")
         offset = 0
         max_align = 1
         table: Dict[str, Tuple[int, CType]] = {}
@@ -118,7 +120,7 @@ class TypeTable:
 
     def layout(self, t: StructType) -> StructLayout:
         if t.name not in self.structs:
-            raise TypeError(f"unknown struct {t.name}")
+            raise CompileError(f"unknown struct {t.name}")
         return self.structs[t.name]
 
     def size_of(self, t: CType) -> int:
@@ -133,8 +135,8 @@ class TypeTable:
         if isinstance(t, ArrayType):
             return self.size_of(t.element) * t.length
         if isinstance(t, VoidType):
-            raise TypeError("void has no size")
-        raise TypeError(f"unknown type {t!r}")
+            raise CompileError("void has no size")
+        raise CompileError(f"unknown type {t!r}")
 
     def align_of(self, t: CType) -> int:
         if isinstance(t, (IntType,)):
@@ -147,7 +149,7 @@ class TypeTable:
             return self.layout(t).align
         if isinstance(t, ArrayType):
             return self.align_of(t.element)
-        raise TypeError(f"unknown type {t!r}")
+        raise CompileError(f"unknown type {t!r}")
 
     def chunk_of(self, t: CType) -> Tuple[int, int, str]:
         """The memory chunk ``[size, align, type]`` for a scalar access."""
@@ -157,7 +159,7 @@ class TypeTable:
             return (1, 1, "int8")
         if isinstance(t, PointerType):
             return (8, 8, "ptr")
-        raise TypeError(f"no scalar chunk for {t!r}")
+        raise CompileError(f"no scalar chunk for {t!r}")
 
 
 def _round_up(value: int, align: int) -> int:

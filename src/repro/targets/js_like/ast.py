@@ -59,13 +59,6 @@ class Var(Expression):
 
 
 @dataclass(frozen=True)
-class FuncRef(Expression):
-    """A bare reference to a top-level function (a by-name function value)."""
-
-    name: str
-
-
-@dataclass(frozen=True)
 class ObjectLit(Expression):
     """``{p1: e1, ...}`` object literal."""
 

@@ -204,8 +204,6 @@ class JSInterpreter:
             if e.name in functions:
                 return e.name
             raise JSError(f"unknown identifier {e.name!r}")
-        if isinstance(e, ast.FuncRef):
-            return e.name
         if isinstance(e, ast.ObjectLit):
             loc = self._alloc("Object")
             for prop, value in e.props:

@@ -9,8 +9,8 @@ To instantiate Gillian to a new TL, a tool developer provides:
    (:meth:`Language.interpretation`), which the soundness harness uses to
    check the MA-RS/MA-RC properties (paper Def. 3.7) empirically.
 
-The three instantiations in :mod:`repro.targets` (While, MiniJS, MiniC)
-implement this interface.
+The four instantiations in :mod:`repro.targets` (While, MiniJS, MiniC,
+MiniRust) implement this interface.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.state.interface import ConcreteMemoryModel, SymbolicMemoryModel
 class Language(abc.ABC):
     """A Gillian instantiation: compiler + memory models."""
 
-    #: Short name used in reports ("while", "minijs", "minic").
+    #: Short name used in reports ("while", "minijs", "minic", "rust").
     name: str = "?"
 
     @abc.abstractmethod

@@ -36,35 +36,28 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.frontend.emitter import CompileError, Emitter, Label
+from repro.frontend.emitter import (
+    ARITHMETIC,
+    COMPARISONS,
+    CompileError,
+    Emitter,
+    arguments,
+)
 from repro.gil.syntax import (
     ActionCall,
     Assignment,
     Call,
-    Fail,
     Goto,
-    IfGoto,
-    ISym,
     Proc,
     Prog,
     Return,
     USym,
-    Vanish,
     allocate_sites,
 )
 from repro.gil.values import GilType
 from repro.logic.expr import BinOp, BinOpExpr, EList, Expr, Lit, PVar, UnOp, UnOpExpr, lst
 from repro.targets.rust_like import ast
 from repro.targets.rust_like.memory import FRESH_OWNER_META, WORD_CHUNK
-
-#: The action vocabulary the compiled code uses (heap + owner table).
-ACTIONS = frozenset(
-    {
-        "alloc", "free", "load", "store", "bounds",
-        "own_new", "own_drop", "own_check", "own_move",
-        "borrow", "borrow_mut", "release", "release_mut", "drop_check",
-    }
-)
 
 #: Binding kinds: plain value, internal boolean, owned handle, borrows.
 VAL, BOOL, OWN, REF, MUTREF = "val", "bool", "own", "ref", "mutref"
@@ -74,8 +67,11 @@ HANDLE_KINDS = frozenset({OWN, REF, MUTREF})
 
 _VALUE_TYPE_NAMES = frozenset({"i64", "i32", "u64", "u32", "isize", "usize", "bool"})
 
-_BUILTINS = frozenset({"alloc", "len", "as_ref", "as_handle"})
-
+#: ``symb_*`` type name -> :meth:`Emitter.symbolic`'s assumptions
+_SYMB = {
+    "int": (GilType.NUMBER, True),
+    "bool": (GilType.NUMBER, True, (0, 1)),
+}
 
 def kind_of_type(t: Optional[ast.TypeExpr]) -> str:
     """The binding kind a declared type denotes."""
@@ -142,8 +138,8 @@ class _FnCompiler:
         #: scope stack of pending borrow releases:
         #: (release action, handle temp name, binding name or None)
         self.scopes: List[List[Tuple[str, str, Optional[str]]]] = []
-        #: (break label, continue label, scope depth at loop entry)
-        self.loop_stack: List[Tuple[Label, Label, int]] = []
+        #: scope depth at the entry of each enclosing loop
+        self.loop_depths: List[int] = []
 
     def compile(self, fn: ast.FnDef) -> Proc:
         for p in fn.params:
@@ -192,27 +188,16 @@ class _FnCompiler:
             self._assign(stmt)
             return
         if isinstance(stmt, ast.IfStmt):
-            then_label, end_label = Label("then"), Label("endif")
-            cond = self.condition(stmt.cond)
-            em.emit(IfGoto(cond, then_label))
-            self._block(stmt.else_body)
-            em.emit(Goto(end_label))
-            em.mark(then_label)
-            self._block(stmt.then_body)
-            em.mark(end_label)
+            em.if_(
+                self.condition(stmt.cond),
+                lambda: self._block(stmt.then_body),
+                lambda: self._block(stmt.else_body),
+            )
             return
         if isinstance(stmt, ast.WhileStmt):
-            start, body_label, end = Label("loop"), Label("lbody"), Label("endloop")
-            em.mark(start)
-            cond = self.condition(stmt.cond)
-            em.emit(IfGoto(cond, body_label))
-            em.emit(Goto(end))
-            em.mark(body_label)
-            self.loop_stack.append((end, start, len(self.scopes)))
-            self._block(stmt.body)
-            self.loop_stack.pop()
-            em.emit(Goto(start))
-            em.mark(end)
+            em.loop(
+                lambda: self.condition(stmt.cond), lambda: self._loop_body(stmt.body)
+            )
             return
         if isinstance(stmt, ast.ReturnStmt):
             if stmt.expr is None:
@@ -224,43 +209,32 @@ class _FnCompiler:
             self._release_down_to(0)
             em.emit(Return(value))
             return
-        if isinstance(stmt, ast.BreakStmt):
-            if not self.loop_stack:
-                raise CompileError("break outside a loop")
-            end, _start, depth = self.loop_stack[-1]
-            self._release_down_to(depth)
-            em.emit(Goto(end))
-            return
-        if isinstance(stmt, ast.ContinueStmt):
-            if not self.loop_stack:
-                raise CompileError("continue outside a loop")
-            _end, start, depth = self.loop_stack[-1]
-            self._release_down_to(depth)
-            em.emit(Goto(start))
+        if isinstance(stmt, (ast.BreakStmt, ast.ContinueStmt)):
+            target = em.loop_exit(
+                "break" if isinstance(stmt, ast.BreakStmt) else "continue"
+            )
+            self._release_down_to(self.loop_depths[-1])
+            em.emit(Goto(target))
             return
         if isinstance(stmt, ast.DropStmt):
             self._drop(stmt.name)
             return
         if isinstance(stmt, ast.AssumeStmt):
-            self._assume(self.condition(stmt.expr))
+            em.assume(self.condition(stmt.expr))
             return
         if isinstance(stmt, ast.AssertStmt):
-            ok = Label("assert_ok")
-            cond = self.condition(stmt.expr)
-            em.emit(IfGoto(cond, ok))
-            em.emit(Fail(lst("assertion-failure", repr(stmt.expr))))
-            em.mark(ok)
+            em.assert_(self.condition(stmt.expr), repr(stmt.expr))
             return
         if isinstance(stmt, ast.ExprStmt):
             self.expr(stmt.expr)
             return
         raise CompileError(f"unknown statement {stmt!r}")
 
-    def _assume(self, condition: Expr) -> None:
-        ok = Label("assume_ok")
-        self.em.emit(IfGoto(condition, ok))
-        self.em.emit(Vanish())
-        self.em.mark(ok)
+    def _loop_body(self, body: Tuple[ast.Node, ...]) -> None:
+        """A loop body block; ``break``/``continue`` release down to here."""
+        self.loop_depths.append(len(self.scopes))
+        self._block(body)
+        self.loop_depths.pop()
 
     def _let(self, stmt: ast.LetStmt) -> None:
         em = self.em
@@ -405,7 +379,7 @@ class _FnCompiler:
                 raise CompileError(f"unknown identifier {e.name!r}")
             return PVar(e.name), self.kinds[e.name]
         if isinstance(e, ast.SymbolicExpr):
-            return self._symbolic(e), VAL
+            return em.symbolic(em.fresh_temp("symb"), *_SYMB[e.type_name]), VAL
         if isinstance(e, ast.Unary):
             return self._unary(e)
         if isinstance(e, ast.Binary):
@@ -470,18 +444,6 @@ class _FnCompiler:
         items = tuple(self.rvalue(*self.expr(item)) for item in e.items)
         return self._alloc_owned(len(items), items)
 
-    def _symbolic(self, e: ast.SymbolicExpr) -> Expr:
-        """``symb_int()`` / ``symb_bool()``: a constrained fresh input."""
-        em = self.em
-        target = em.fresh_temp("symb")
-        em.emit(ISym(target, 0))
-        x = PVar(target)
-        self._assume(x.typeof().eq(Lit(GilType.NUMBER)))
-        self._assume(UnOpExpr(UnOp.FLOOR, x).eq(x))
-        if e.type_name == "bool":
-            self._assume(Lit(0).leq(x).and_(x.leq(Lit(1))))
-        return x
-
     def _unary(self, e: ast.Unary) -> Tuple[Expr, str]:
         if e.op == "-":
             value, kind = self.expr(e.operand)
@@ -501,68 +463,30 @@ class _FnCompiler:
 
     def _binary(self, e: ast.Binary) -> Tuple[Expr, str]:
         if e.op in ("&&", "||"):
-            return self._short_circuit(e), BOOL
-        if e.op in ("==", "!=", "<", "<=", ">", ">="):
-            return self._comparison(e), BOOL
+            short_circuit = self.em.short_circuit(
+                e.op, lambda: self.condition(e.left), lambda: self.condition(e.right)
+            )
+            return short_circuit, BOOL
         left, lkind = self.expr(e.left)
         right, rkind = self.expr(e.right)
+        if e.op in COMPARISONS:
+            if lkind in HANDLE_KINDS or rkind in HANDLE_KINDS:
+                raise CompileError("cannot compare handles")
+            lv, rv = self.rvalue(left, lkind), self.rvalue(right, rkind)
+            return COMPARISONS[e.op](lv, rv), BOOL
         if lkind in HANDLE_KINDS or rkind in HANDLE_KINDS:
             raise CompileError(f"arithmetic on handles ({e.op!r})")
-        table = {"+": BinOp.ADD, "-": BinOp.SUB, "*": BinOp.MUL,
-                 "/": BinOp.DIV, "%": BinOp.MOD}
-        if e.op in table:
+        if e.op in ARITHMETIC:
             result = BinOpExpr(
-                table[e.op], self.rvalue(left, lkind), self.rvalue(right, rkind)
+                ARITHMETIC[e.op], self.rvalue(left, lkind), self.rvalue(right, rkind)
             )
             if e.op == "/":
                 result = UnOpExpr(UnOp.FLOOR, result)
             return result, VAL
         raise CompileError(f"unknown binary operator {e.op!r}")
 
-    def _comparison(self, e: ast.Binary) -> Expr:
-        left, lkind = self.expr(e.left)
-        right, rkind = self.expr(e.right)
-        if lkind in HANDLE_KINDS or rkind in HANDLE_KINDS:
-            raise CompileError("cannot compare handles")
-        lv, rv = self.rvalue(left, lkind), self.rvalue(right, rkind)
-        if e.op == "==":
-            return lv.eq(rv)
-        if e.op == "!=":
-            return lv.neq(rv)
-        if e.op == "<":
-            return lv.lt(rv)
-        if e.op == "<=":
-            return lv.leq(rv)
-        if e.op == ">":
-            return rv.lt(lv)
-        return rv.leq(lv)
-
-    def _short_circuit(self, e: ast.Binary) -> Expr:
-        em = self.em
-        target = em.fresh_temp("sc")
-        left = self.condition(e.left)
-        right_label, end = Label("sc_right"), Label("sc_end")
-        if e.op == "&&":
-            em.emit(IfGoto(left, right_label))
-            em.emit(Assignment(target, Lit(False)))
-            em.emit(Goto(end))
-        else:
-            em.emit(IfGoto(UnOpExpr(UnOp.NOT, left), right_label))
-            em.emit(Assignment(target, Lit(True)))
-            em.emit(Goto(end))
-        em.mark(right_label)
-        em.emit(Assignment(target, self.condition(e.right)))
-        em.mark(end)
-        return PVar(target)
-
     def condition(self, e: ast.Node) -> Expr:
         """Compile an expression used as a truth value to a GIL boolean."""
-        if isinstance(e, ast.Binary) and e.op in ("==", "!=", "<", "<=", ">", ">="):
-            return self._comparison(e)
-        if isinstance(e, ast.Binary) and e.op in ("&&", "||"):
-            return self._short_circuit(e)
-        if isinstance(e, ast.Unary) and e.op == "!":
-            return UnOpExpr(UnOp.NOT, self.condition(e.operand))
         value, kind = self.expr(e)
         if kind == BOOL:
             return value
@@ -574,16 +498,7 @@ class _FnCompiler:
         """Materialise internal booleans into integers 0/1."""
         if kind != BOOL:
             return value
-        em = self.em
-        target = em.fresh_temp("b2i")
-        true_label, end = Label("b_true"), Label("b_end")
-        em.emit(IfGoto(value, true_label))
-        em.emit(Assignment(target, Lit(0)))
-        em.emit(Goto(end))
-        em.mark(true_label)
-        em.emit(Assignment(target, Lit(1)))
-        em.mark(end)
-        return PVar(target)
+        return self.em.choose("b2i", lambda: value, lambda: Lit(1), lambda: Lit(0))
 
     # -- calls ----------------------------------------------------------------
 
@@ -591,12 +506,12 @@ class _FnCompiler:
         em = self.em
         name = e.name
         if name == "alloc":
-            (size_ast,) = e.args
+            (size_ast,) = arguments(name, e.args, 1)
             if not isinstance(size_ast, ast.IntLit):
                 raise CompileError("alloc() needs a literal size")
             return self._alloc_owned(size_ast.value, ()), OWN
         if name == "len":
-            (handle_ast,) = e.args
+            (handle_ast,) = arguments(name, e.args, 1)
             if isinstance(handle_ast, ast.Unary) and handle_ast.op in ("&", "&mut"):
                 handle_ast = handle_ast.operand
             handle, kind = self.expr(handle_ast)
@@ -613,7 +528,7 @@ class _FnCompiler:
             # (list links): reinterpret a loaded word as a reference /
             # owned handle.  Purely a static re-kinding — the dynamic
             # owner checks still guard every use.
-            (value_ast,) = e.args
+            (value_ast,) = arguments(name, e.args, 1)
             value, kind = self.expr(value_ast)
             return self.rvalue(value, kind), (REF if name == "as_ref" else OWN)
         if name not in self.sigs:

@@ -16,34 +16,28 @@ logical variables of classical symbolic execution (paper §2.1).
 
 from __future__ import annotations
 
-from repro.frontend.emitter import Emitter, Label
+from repro.frontend.emitter import Emitter
 from repro.gil.syntax import (
     ActionCall,
     Assignment,
     Call,
-    Fail,
-    Goto,
-    IfGoto,
-    ISym,
     Proc,
     Prog,
     Return,
     USym,
-    Vanish,
     allocate_sites,
 )
 from repro.gil.values import NULL, GilType
-from repro.logic.expr import Expr, Lit, PVar, lst
+from repro.logic.expr import Lit, PVar, lst
 from repro.targets.while_lang import ast
 
-#: The set of While actions A_W (paper §2.2).
-ACTIONS = frozenset({"lookup", "mutate", "dispose"})
-
-_SYMB_TYPE = {
-    "number": GilType.NUMBER,
-    "int": GilType.NUMBER,
-    "string": GilType.STRING,
-    "bool": GilType.BOOLEAN,
+#: ``symb_*`` type name -> :meth:`Emitter.symbolic`'s assumptions
+_SYMB = {
+    None: (),
+    "number": (GilType.NUMBER,),
+    "int": (GilType.NUMBER, True),
+    "string": (GilType.STRING,),
+    "bool": (GilType.BOOLEAN,),
 }
 
 
@@ -62,8 +56,7 @@ def compile_source(source: str) -> Prog:
 
 def _compile_proc(proc_def: ast.ProcDef) -> Proc:
     em = Emitter()
-    for stmt in proc_def.body:
-        _compile_stmt(em, stmt)
+    _compile_stmts(em, proc_def.body)
     # A procedure that falls off the end returns null.
     em.emit(Return(Lit(NULL)))
     return Proc(proc_def.name, proc_def.params, em.finish())
@@ -104,27 +97,15 @@ def _compile_stmt(em: Emitter, stmt: ast.Stmt) -> None:
         return
 
     if isinstance(stmt, ast.If):
-        then_label, end_label = Label("then"), Label("endif")
-        em.emit(IfGoto(stmt.condition, then_label))
-        for s in stmt.else_body:
-            _compile_stmt(em, s)
-        em.emit(Goto(end_label))
-        em.mark(then_label)
-        for s in stmt.then_body:
-            _compile_stmt(em, s)
-        em.mark(end_label)
+        em.if_(
+            stmt.condition,
+            lambda: _compile_stmts(em, stmt.then_body),
+            lambda: _compile_stmts(em, stmt.else_body),
+        )
         return
 
     if isinstance(stmt, ast.While):
-        start_label, body_label, end_label = Label("loop"), Label("body"), Label("endloop")
-        em.mark(start_label)
-        em.emit(IfGoto(stmt.condition, body_label))
-        em.emit(Goto(end_label))
-        em.mark(body_label)
-        for s in stmt.body:
-            _compile_stmt(em, s)
-        em.emit(Goto(start_label))
-        em.mark(end_label)
+        em.loop(lambda: stmt.condition, lambda: _compile_stmts(em, stmt.body))
         return
 
     if isinstance(stmt, ast.CallStmt):
@@ -136,34 +117,20 @@ def _compile_stmt(em: Emitter, stmt: ast.Stmt) -> None:
         return
 
     if isinstance(stmt, ast.Assume):
-        _emit_assume(em, stmt.expr)
+        em.assume(stmt.expr)
         return
 
     if isinstance(stmt, ast.Assert):
-        ok = Label("assert_ok")
-        em.emit(IfGoto(stmt.expr, ok))
-        em.emit(Fail(lst("assertion-failure", repr(stmt.expr))))
-        em.mark(ok)
+        em.assert_(stmt.expr, repr(stmt.expr))
         return
 
     if isinstance(stmt, ast.SymbolicInput):
-        em.emit(ISym(stmt.target, 0))
-        if stmt.type_name is not None:
-            gil_type = _SYMB_TYPE[stmt.type_name]
-            _emit_assume(em, PVar(stmt.target).typeof().eq(Lit(gil_type)))
-        if stmt.type_name == "int":
-            from repro.logic.expr import UnOp, UnOpExpr
-
-            x = PVar(stmt.target)
-            _emit_assume(em, UnOpExpr(UnOp.FLOOR, x).eq(x))
+        em.symbolic(stmt.target, *_SYMB[stmt.type_name])
         return
 
     raise TypeError(f"unknown While statement {stmt!r}")
 
 
-def _emit_assume(em: Emitter, condition: Expr) -> None:
-    """Fig. 2 [Assume]: ``ifgoto e +2; vanish``."""
-    ok = Label("assume_ok")
-    em.emit(IfGoto(condition, ok))
-    em.emit(Vanish())
-    em.mark(ok)
+def _compile_stmts(em: Emitter, stmts) -> None:
+    for stmt in stmts:
+        _compile_stmt(em, stmt)

@@ -195,6 +195,11 @@ class TestQuarantine:
             ("minijs", "function main() { return 1.2.3; }", "LexError"),
             ("while", "not a program at all", "ParseError"),
             ("minijs", "function main() { break; }", "CompileError"),
+            ("minic", "int main() { int *p = (int *) malloc(1, 2); return 0; }",
+             "CompileError"),
+            ("rust", "fn main() -> i64 { let n = len(); return n; }", "CompileError"),
+            ("minijs", "function main() { return floor(1, 2); }", "CompileError"),
+            ("minic", "int main() { return sizeof(struct Foo); }", "CompileError"),
         ],
     )
     def test_front_end_error_quarantined_on_first_attempt(

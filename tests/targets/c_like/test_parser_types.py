@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.frontend import CompileError
 from repro.frontend.lexer import ParseError
 from repro.targets.c_like import ast
 from repro.targets.c_like.ctypes import (
@@ -63,7 +64,7 @@ class TestLayout:
     def test_redefinition_rejected(self):
         t = TypeTable()
         t.define_struct("S", [("a", INT)])
-        with pytest.raises(TypeError):
+        with pytest.raises(CompileError, match="struct S redefined"):
             t.define_struct("S", [("a", INT)])
 
     def test_chunks(self):
