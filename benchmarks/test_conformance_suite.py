@@ -101,9 +101,41 @@ def _run_minic():
     return out.value
 
 
+def _run_minirust():
+    from repro.targets.rust_like import MiniRustLanguage
+    from repro.targets.rust_like.interpreter import RustInterpreter
+    from repro.targets.rust_like.parser import parse_program
+
+    source = """
+    fn sum(v: &[i64]) -> i64 {
+      let mut i = 0;
+      let mut total = 0;
+      while i < len(v) { total = total + v[i]; i = i + 1; }
+      return total;
+    }
+    fn main() -> i64 {
+      let mut a = alloc(10);
+      let mut i = 0;
+      while i < 10 { a[i] = i; i = i + 1; }
+      let b = Box::new(sum(&a));
+      drop(a);
+      let v = *b;
+      drop(b);
+      return v;
+    }
+    """
+    language = MiniRustLanguage()
+    ref = RustInterpreter().run(parse_program(source), "main")
+    prog = language.compile(source)
+    sm = ConcreteStateModel(language.concrete_memory())
+    out = Explorer(prog, sm).run("main").sole_outcome
+    assert ref.value == out.value == 45
+    return out.value
+
+
 @pytest.mark.parametrize(
-    "runner", [_run_while, _run_minijs, _run_minic],
-    ids=["while", "minijs", "minic"],
+    "runner", [_run_while, _run_minijs, _run_minic, _run_minirust],
+    ids=["while", "minijs", "minic", "minirust"],
 )
 def test_conformance_throughput(runner, benchmark):
     benchmark(runner)

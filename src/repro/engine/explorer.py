@@ -205,7 +205,8 @@ class Explorer:
     ) -> Tuple[List[tuple], Optional[StopReason]]:
         """The scheduler loop shared by :meth:`explore` (``frontier_target``
         None: run to completion) and :meth:`explore_frontier` (stop once the
-        worklist holds that many pending items and hand them back).
+        worklist holds that many pending items and hand them back — before
+        the first step, when the pushed configs already number that many).
 
         Returns ``(frontier_items, stop_reason)`` — items empty unless a
         frontier was cut, stop None unless a bound fired.
@@ -350,41 +351,17 @@ class Explorer:
         """Drive every configuration to a final under budget and strategy.
 
         ``depths`` optionally gives the starting depth of each config —
-        parallel-explorer shards resume mid-path, so their loop-unrolling
-        bound must keep counting from where the seeding phase stopped.
+        parallel-explorer shards and restored checkpoints resume
+        mid-path, so their loop-unrolling bound must keep counting from
+        where the earlier phase stopped.
         """
-        stats = ExecutionStats()
-        strategy = self._make_strategy()
-        bus = self.events
-        solver = getattr(self.sm, "solver", None)
-        # Route this run's solver queries onto our bus (restored on exit:
-        # nested or interleaved explorers over a shared solver each see
-        # their own wiring).
-        prev_solver_events = None
-        if solver is not None and bus is not None:
-            prev_solver_events = solver.events
-            solver.events = bus
-
-        start = time.perf_counter()
-        finals: List[Final] = []
-        try:
-            for i, cfg in enumerate(configs):
-                strategy.push((cfg, depths[i] if depths is not None else 0))
-            with _batched_gc(self.config.gc_batch):
-                _, stop = self._drive(strategy, stats, finals, start, None)
-            stats.stop_reason = (stop or StopReason.EXHAUSTED).value
-        finally:
-            if solver is not None and bus is not None:
-                solver.events = prev_solver_events
-        stats.wall_time = time.perf_counter() - start
-        if bus:
-            bus.emit(SpanEnd("explore", stats.wall_time, stats.commands_executed))
-            for name, seconds in sorted(stats.phase_times.items()):
-                bus.emit(SpanEnd(name, seconds, 0))
-        return ExecutionResult(finals, stats)
+        return self._explore(configs, depths, self._make_strategy(), None)[1]
 
     def explore_frontier(
-        self, configs: List[Config], target: int
+        self,
+        configs: List[Config],
+        target: int,
+        depths: Optional[Sequence[int]] = None,
     ) -> "tuple[List[tuple], ExecutionResult]":
         """Breadth-first seeding: step until the worklist holds ``target``
         pending items, then hand the frontier back instead of finishing.
@@ -394,7 +371,9 @@ class Explorer:
         across the shallow part of the execution tree — every path of the
         full run extends exactly one frontier item (or already ended),
         which is what makes sharding the frontier a partition of the path
-        set (§3.1 trace composition: outcomes are path-local).
+        set (§3.1 trace composition: outcomes are path-local).  ``depths``
+        are the configs' starting depths, as for :meth:`explore`; configs
+        that already number ``target`` come back unstepped, in order.
 
         Returns ``(items, result)`` where ``items`` is the pending
         ``(Config, depth)`` list (empty when the run finished during
@@ -406,31 +385,46 @@ class Explorer:
         """
         from repro.engine.strategy import BFSStrategy
 
+        return self._explore(configs, depths, BFSStrategy(), target)
+
+    def _explore(
+        self,
+        configs: List[Config],
+        depths: Optional[Sequence[int]],
+        strategy: SearchStrategy,
+        target: Optional[int],
+    ) -> "tuple[List[tuple], ExecutionResult]":
+        """The body of :meth:`explore` (``target`` None) and
+        :meth:`explore_frontier`: push, drive, then close the run with its
+        stop reason, wall time and spans (``"explore"`` or ``"seed"``)."""
         stats = ExecutionStats()
-        strategy = BFSStrategy()
         bus = self.events
         solver = getattr(self.sm, "solver", None)
-        prev_solver_events = None
-        if solver is not None and bus is not None:
+        # Route this run's solver queries onto our bus (restored on exit:
+        # nested or interleaved explorers over a shared solver each see
+        # their own wiring).
+        routed = solver is not None and bus is not None
+        if routed:
             prev_solver_events = solver.events
             solver.events = bus
 
         start = time.perf_counter()
         finals: List[Final] = []
         try:
-            for cfg in configs:
-                strategy.push((cfg, 0))
+            for i, cfg in enumerate(configs):
+                strategy.push((cfg, depths[i] if depths is not None else 0))
             with _batched_gc(self.config.gc_batch):
-                items, stop = self._drive(
-                    strategy, stats, finals, start, target
-                )
+                items, stop = self._drive(strategy, stats, finals, start, target)
             if not items:
                 # The run either drained (exhausted) or a bound fired.
                 stats.stop_reason = (stop or StopReason.EXHAUSTED).value
         finally:
-            if solver is not None and bus is not None:
+            if routed:
                 solver.events = prev_solver_events
         stats.wall_time = time.perf_counter() - start
         if bus:
-            bus.emit(SpanEnd("seed", stats.wall_time, stats.commands_executed))
+            span = "explore" if target is None else "seed"
+            bus.emit(SpanEnd(span, stats.wall_time, stats.commands_executed))
+            for name, seconds in sorted(stats.phase_times.items()):
+                bus.emit(SpanEnd(name, seconds, 0))
         return items, ExecutionResult(finals, stats)

@@ -9,22 +9,29 @@ exactly what licenses sharding the frontier across OS processes:
 
 1. **Seed** — a sequential breadth-first phase
    (:meth:`~repro.engine.explorer.Explorer.explore_frontier`) steps the
-   program until the worklist holds a frontier of pending configurations
-   (a *cut* across the shallow execution tree: every path of the full run
+   program — or a restored checkpoint frontier, at its saved depths —
+   until the worklist holds a frontier of pending configurations (a
+   *cut* across the shallow execution tree: every path of the full run
    extends exactly one frontier item or already ended during seeding).
 2. **Shard** — frontier items are dealt round-robin across ``workers``
-   processes.  Each worker rebuilds a fresh state model from a picklable
-   *factory* (solvers and their caches are per-process; only programs,
-   configurations, and results cross the boundary), then drives the
-   ordinary sequential :class:`~repro.engine.explorer.Explorer` over its
-   shard with a per-shard :meth:`~repro.engine.budget.Budget.shard_slice`
-   and the frontier depths preserved (the loop-unrolling bound keeps
-   counting from the cut).
-3. **Merge** — finals from the seed phase and every shard are combined
-   with :func:`~repro.engine.results.merge_results`: a sorted-multiset
+   processes, in rounds of at most ``round_items``.  Each worker
+   rebuilds a fresh state model from a picklable *factory* (solvers and
+   their caches are per-process; only programs, configurations, and
+   results cross the boundary), then drives the ordinary sequential
+   :class:`~repro.engine.explorer.Explorer` over its shard with a
+   per-shard :meth:`~repro.engine.budget.Budget.shard_slice` of what the
+   seed and earlier rounds left (steps, paths, elapsed time) and the
+   frontier depths preserved (the loop-unrolling bound keeps counting
+   from the cut).
+3. **Merge** — after each round, finals from the seed phase and every
+   shard so far are combined with
+   :func:`~repro.engine.results.merge_results`: a sorted-multiset
    outcome merge (stable, canonical key), ``ExecutionStats.merge``
    aggregation, and the most restrictive ``stop_reason`` winning by the
-   documented ``STOP_REASON_PRECEDENCE``.
+   documented ``STOP_REASON_PRECEDENCE``.  With a checkpoint hook
+   installed, the unprocessed remainder is saved between rounds — a
+   frontier cut is a partition of the paths whether it bounds a shard
+   or a snapshot.
 
 The pickle layer underneath is what makes step 2 safe: hash-consed
 ``Expr`` nodes re-intern in the receiving process (``__reduce__`` routes
@@ -47,6 +54,7 @@ the zero-overhead-when-unsubscribed contract holds across processes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import multiprocessing
 import os
 import pickle
@@ -70,7 +78,7 @@ from repro.engine.events import (
 from repro.engine.explorer import Explorer
 from repro.engine.results import ExecutionResult, merge_results
 from repro.engine.strategy import StrategySpec, make_strategy
-from repro.gil.semantics import Config, make_call_config
+from repro.gil.semantics import Config
 from repro.gil.syntax import Prog
 
 #: Frontier items targeted per worker during seeding.  Oversubscription
@@ -235,8 +243,9 @@ class ParallelExplorer:
     """Shards bounded path exploration across a process pool.
 
     Mirrors :class:`~repro.engine.explorer.Explorer`'s surface —
-    ``run(proc, args)`` / ``explore(configs)`` returning an
-    :class:`ExecutionResult` — plus:
+    ``run(proc, args)`` / ``explore(configs, depths)`` returning an
+    :class:`ExecutionResult`, with the same optional ``checkpoint``
+    hook — plus:
 
     * ``workers``: process count, ``"auto"`` (→ ``os.cpu_count()``), or
       None to defer to ``config.workers``;
@@ -244,11 +253,14 @@ class ParallelExplorer:
       model (derived automatically for the stock symbolic/concrete
       models);
     * ``seed_factor``: frontier items targeted per worker before
-      sharding.
+      sharding;
+    * ``round_items``: frontier items dealt to the workers per round,
+      the checkpoint saving the unprocessed remainder between rounds
+      (0: one round of every item).
 
     ``workers=1`` (or a frontier that never materialises — the program
-    finishes during seeding) degrades to the plain sequential run, so
-    callers can thread a single code path for any worker count.
+    finishes during seeding) is the plain sequential run, so callers
+    thread a single code path for any worker count.
     """
 
     def __init__(
@@ -263,144 +275,105 @@ class ParallelExplorer:
         factory=None,
         seed_factor: int = SEED_FACTOR,
         mp_context=None,
+        checkpoint=None,
+        round_items: int = 0,
     ):
         self.prog = prog
         self.sm = state_model
         self.config = config if config is not None else EngineConfig()
         self.strategy = strategy
-        self.budget = budget if budget is not None else Budget.from_config(self.config)
+        self.budget = budget  # None: the config's bounds, as in Explorer
         self.events = events
         self.workers = resolve_workers(
             workers if workers is not None else self.config.workers
         )
         self.factory = factory
         self.seed_factor = max(1, seed_factor)
+        self.checkpoint = checkpoint
+        self.round_items = round_items
         self._mp = mp_context if mp_context is not None else multiprocessing.get_context()
-        #: retry-delay schedule for crashed shards; tests inject a fake
-        #: ``_sleep`` to assert the exact delays without real waiting
-        self.backoff = BackoffPolicy(base=self.config.shard_retry_backoff)
         self._sleep = time.sleep
-        # Validate the strategy spec up front: a malformed spec should
-        # fail in the caller's process, not inside N workers.
-        make_strategy(self.strategy if self.strategy is not None else self.config.strategy,
-                      seed=self.config.random_seed)
+        if self.workers > 1:
+            # Validate the strategy spec up front: a malformed spec should
+            # fail in the caller's process, not inside N workers.
+            spec = self.strategy if self.strategy is not None else self.config.strategy
+            make_strategy(spec, seed=self.config.random_seed)
 
-    # -- Explorer-compatible surface ----------------------------------------
+    @functools.cached_property
+    def backoff(self) -> BackoffPolicy:
+        """Retry-delay schedule for crashed shards, built on first use;
+        tests inject a fake ``_sleep`` to assert the exact delays
+        without real waiting."""
+        return BackoffPolicy(base=self.config.shard_retry_backoff)
 
-    def run(self, proc: str, args: Sequence = (), state: object = None) -> ExecutionResult:
-        """Execute ``proc(args)`` from ``state`` (default: initial state)."""
-        if state is None:
-            state = self.sm.initial_state()
-        from repro.logic.expr import Expr
+    #: ``run(proc, args, state)``: :meth:`explore` from the call config
+    run = Explorer.run
 
-        evaluated = [
-            self.sm.eval_expr(state, a) if isinstance(a, Expr) else a for a in args
-        ]
-        cfg = make_call_config(self.sm, state, self.prog, proc, evaluated)
-        return self.explore([cfg])
+    def explore(
+        self, configs: List[Config], depths: Optional[Sequence[int]] = None
+    ) -> ExecutionResult:
+        """Drive ``configs`` (at ``depths``, default 0) to one merged result.
 
-    def explore(self, configs: List[Config]) -> ExecutionResult:
+        At ``workers <= 1`` this is :meth:`Explorer.explore`.  Above, it
+        seeds a frontier cut breadth-first (checkpointing through the
+        hook), then deals it to the workers in rounds of at most
+        ``round_items``.  Each round's budget is what remains after the
+        seed and every earlier round (steps, paths, elapsed time), and
+        the checkpoint saves the unprocessed remainder after each round,
+        so a kill at any round boundary resumes with exactly the path set
+        one uninterrupted run covers.
+        """
+        seq = Explorer(
+            self.prog, self.sm, self.config,
+            strategy=self.strategy, budget=self.budget,
+            events=self.events, checkpoint=self.checkpoint,
+        )
         if self.workers <= 1:
-            return self._sequential().explore(configs)
+            return seq.explore(configs, depths)
 
         start = time.perf_counter()
-        seq = self._sequential()
-        target = self.workers * self.seed_factor
-        items, seed_result = seq.explore_frontier(configs, target)
+        items, merged = seq.explore_frontier(
+            configs, self.workers * self.seed_factor, depths
+        )
         if not items:
             # Finished (or hit a global bound) during seeding: the seed
             # result already carries the authoritative stop reason.
-            return seed_result
+            return merged
 
-        shards = [items[i :: self.workers] for i in range(self.workers)]
-        shards = [shard for shard in shards if shard]
-        slice_budget = self.budget.shard_slice(
-            len(shards),
-            steps_spent=seed_result.stats.commands_executed,
-            paths_found=seed_result.stats.paths_finished,
-            elapsed=seed_result.stats.wall_time,
-        )
         factory = self.factory
         if factory is None:
             factory = model_factory_for(self.sm, self.config)
-
-        bus = self.events
-        shards_start = time.perf_counter()
-        shard_parts = self._run_shards(shards, slice_budget, factory)
-        if bus:
-            bus.emit(
-                SpanEnd(
-                    "shards",
-                    time.perf_counter() - shards_start,
-                    sum(p.stats.commands_executed for p in shard_parts),
-                )
+        size = self.round_items if self.round_items > 0 else len(items)
+        wait = merge = 0.0
+        shard_steps = 0
+        while items:
+            batch, items = items[:size], items[size:]
+            shards = [batch[i :: self.workers] for i in range(self.workers)]
+            shards = [shard for shard in shards if shard]
+            slice_budget = seq.budget.shard_slice(
+                len(shards),
+                steps_spent=merged.stats.commands_executed,
+                paths_found=merged.stats.paths_finished,
+                elapsed=time.perf_counter() - start,
             )
-        merge_start = time.perf_counter()
-        merged = merge_results([seed_result] + shard_parts)
-        if bus:
-            bus.emit(
-                SpanEnd("merge", time.perf_counter() - merge_start, len(merged.finals))
-            )
+            shards_start = time.perf_counter()
+            parts = self._run_shards(shards, slice_budget, factory)
+            merge_start = time.perf_counter()
+            merged = merge_results([merged] + parts)
+            wait += merge_start - shards_start
+            merge += time.perf_counter() - merge_start
+            shard_steps += sum(p.stats.commands_executed for p in parts)
+            if items and self.checkpoint is not None:
+                self.checkpoint.save(tuple(items), merged.finals, merged.stats)
+        if self.events:
+            self.events.emit(SpanEnd("shards", wait, shard_steps))
+            self.events.emit(SpanEnd("merge", merge, len(merged.finals)))
         # Per-part wall times are CPU-aggregate across processes; the
         # run's wall clock is what the caller observes.
         merged.stats.wall_time = time.perf_counter() - start
         return merged
 
-    def explore_items(
-        self, items: Sequence[tuple], budget: Optional[Budget] = None
-    ) -> ExecutionResult:
-        """Drive explicit ``(Config, depth)`` frontier items to completion.
-
-        The resumable entry point used by the analysis service's
-        checkpointed runner (:mod:`repro.service.runner`): seeding is
-        skipped — the caller already holds a frontier cut (from
-        :meth:`Explorer.explore_frontier` or a restored checkpoint) —
-        and the items are dealt round-robin across workers, run with the
-        usual crash recovery, and merged deterministically.  Because the
-        final multiset is partition-independent, processing a frontier
-        in several ``explore_items`` rounds (checkpointing between them)
-        yields exactly the finals of one uninterrupted run.
-
-        ``budget`` overrides the per-call budget (the runner passes the
-        job's remaining budget); it is sliced across shards as usual.
-        With ``workers<=1`` the items run on the sequential explorer.
-        """
-        items = list(items)
-        budget = budget if budget is not None else self.budget
-        configs = [cfg for cfg, _ in items]
-        depths = [depth for _, depth in items]
-        if self.workers <= 1 or len(items) <= 1:
-            seq = self._sequential()
-            seq.budget = budget
-            return seq.explore(configs, depths=depths)
-        start = time.perf_counter()
-        shards = [items[i :: self.workers] for i in range(self.workers)]
-        shards = [shard for shard in shards if shard]
-        slice_budget = budget.shard_slice(len(shards))
-        factory = self.factory
-        if factory is None:
-            factory = model_factory_for(self.sm, self.config)
-        parts = self._run_shards(shards, slice_budget, factory)
-        merged = merge_results(parts)
-        merged.stats.wall_time = time.perf_counter() - start
-        if self.events:
-            self.events.emit(
-                SpanEnd("shards", merged.stats.wall_time,
-                        merged.stats.commands_executed)
-            )
-        return merged
-
     # -- internals -----------------------------------------------------------
-
-    def _sequential(self) -> Explorer:
-        return Explorer(
-            self.prog,
-            self.sm,
-            self.config,
-            strategy=self.strategy,
-            budget=self.budget,
-            events=self.events,
-        )
 
     def _run_shards(
         self, shards: List[list], slice_budget: Budget, factory

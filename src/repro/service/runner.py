@@ -12,12 +12,12 @@ checkpoints) and the engine.  A run proceeds in up to three phases:
    its frontier back into the engine with the *remaining* budget
    (global bounds minus what the snapshot already consumed); otherwise
    it builds the entry-point configuration from a fresh initial state.
-3. **Explore** — ``workers == 1`` runs the sequential
-   :class:`~repro.engine.explorer.Explorer` with the checkpoint manager
-   installed as its snapshot hook; ``workers > 1`` seeds a frontier cut
-   (checkpointing through the same hook), then processes it in bounded
-   rounds of :meth:`~repro.engine.parallel.ParallelExplorer.explore_items`,
-   saving a snapshot of the unprocessed remainder between rounds.
+3. **Explore** — one
+   :meth:`~repro.engine.parallel.ParallelExplorer.explore` call at the
+   job's worker count, with the checkpoint manager installed as its
+   snapshot hook: the sequential explorer at ``workers == 1``; at
+   ``workers > 1`` a seeded frontier cut processed in rounds of
+   ``round_items``, the unprocessed remainder saved between rounds.
 
 The identity contract (exercised by the crash-resume suite): for an
 exhaustive run, base + resumed-run merged through
@@ -34,13 +34,7 @@ from typing import List, Optional, Tuple
 
 from repro.engine.budget import Budget
 from repro.engine.config import EngineConfig
-from repro.engine.explorer import Explorer
-from repro.engine.parallel import (
-    SEED_FACTOR,
-    ParallelExplorer,
-    SymbolicModelFactory,
-    resolve_workers,
-)
+from repro.engine.parallel import ParallelExplorer, SymbolicModelFactory
 from repro.engine.results import ExecutionResult, ExecutionStats, merge_results
 from repro.gil.semantics import make_call_config
 from repro.service.jobs import JobSpec
@@ -148,7 +142,6 @@ class JobRunner:
             raise InvalidJob(f"unknown entry procedure {spec.entry!r}")
         policy = unknown_policy if unknown_policy is not None else spec.unknown_policy
         budget = budget if budget is not None else budget_for(spec)
-        workers = resolve_workers(spec.workers)
 
         config = EngineConfig(unknown_policy=policy)
         memory = language_for(spec.language).symbolic_memory()
@@ -158,7 +151,7 @@ class JobRunner:
         if snapshot is not None:
             checkpoint.resume_from(snapshot)
             items: List[tuple] = list(snapshot.frontier)
-            run_budget = budget.shard_slice(
+            budget = budget.shard_slice(
                 1,
                 steps_spent=snapshot.stats.commands_executed,
                 paths_found=snapshot.stats.paths_finished,
@@ -174,20 +167,16 @@ class JobRunner:
                 return RunOutcome(total, cache_hit, resumed=True)
         else:
             state = sm.initial_state()
-            cfg = make_call_config(sm, state, prog, spec.entry, [])
-            items = [(cfg, 0)]
-            run_budget = budget
+            items = [(make_call_config(sm, state, prog, spec.entry, []), 0)]
 
-        if workers <= 1:
-            session = self._run_sequential(
-                prog, sm, config, run_budget, items, checkpoint, events
-            )
-        else:
-            session = self._run_parallel(
-                prog, sm, config, run_budget, items, workers, checkpoint,
-                events, resumed=snapshot is not None,
-            )
-
+        explorer = ParallelExplorer(
+            prog, sm, config, budget=budget, events=events,
+            workers=spec.workers, checkpoint=checkpoint,
+            round_items=self.round_items,
+        )
+        session = explorer.explore(
+            [cfg for cfg, _ in items], [depth for _, depth in items]
+        )
         total = self._fold_base(checkpoint, session)
         if checkpoint is not None:
             checkpoint.clear()
@@ -201,66 +190,6 @@ class JobRunner:
         copy = ExecutionStats()
         copy.merge(stats)
         return copy
-
-    def _run_sequential(
-        self, prog, sm, config, budget, items, checkpoint, events
-    ) -> ExecutionResult:
-        """One Explorer call; the checkpoint hook snapshots mid-run."""
-        explorer = Explorer(
-            prog, sm, config,
-            budget=budget, events=events, checkpoint=checkpoint,
-        )
-        configs = [cfg for cfg, _ in items]
-        depths = [depth for _, depth in items]
-        return explorer.explore(configs, depths=depths)
-
-    def _run_parallel(
-        self, prog, sm, config, budget, items, workers, checkpoint, events,
-        resumed: bool,
-    ) -> ExecutionResult:
-        """Seed (unless resuming), then explore in checkpointed rounds.
-
-        Each round hands at most ``round_items`` frontier items to the
-        worker pool with the budget that remains after everything this
-        invocation has already done, and the unprocessed remainder is
-        snapshotted between rounds — so a kill at any round boundary
-        resumes with exactly the path set one uninterrupted run covers.
-        """
-        parts: List[ExecutionResult] = []
-        session = ExecutionResult([], ExecutionStats())
-
-        if not resumed:
-            seeder = Explorer(
-                prog, sm, config,
-                budget=budget, events=events, checkpoint=checkpoint,
-            )
-            configs = [cfg for cfg, _ in items]
-            items, seed_result = seeder.explore_frontier(
-                configs, workers * SEED_FACTOR
-            )
-            parts.append(seed_result)
-            session = merge_results(parts)
-            if not items:
-                return session
-
-        pex = ParallelExplorer(
-            prog, sm, config, events=events, workers=workers,
-        )
-        chunk = self.round_items if self.round_items > 0 else len(items)
-        remaining = list(items)
-        while remaining:
-            batch, remaining = remaining[:chunk], remaining[chunk:]
-            round_budget = budget.shard_slice(
-                1,
-                steps_spent=session.stats.commands_executed,
-                paths_found=session.stats.paths_finished,
-            )
-            part = pex.explore_items(batch, budget=round_budget)
-            parts.append(part)
-            session = merge_results(parts)
-            if remaining and checkpoint is not None:
-                checkpoint.save(tuple(remaining), session.finals, session.stats)
-        return session
 
     @staticmethod
     def _fold_base(checkpoint, session: ExecutionResult) -> ExecutionResult:

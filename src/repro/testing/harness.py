@@ -115,11 +115,10 @@ class SymbolicTester:
     ``strategy`` and ``events`` are handed to the scheduler unchanged
     (see :class:`repro.engine.explorer.Explorer`): the harness drives the
     same scheduler loop as every other engine client, so search order,
-    budgets, and instrumentation behave identically here.  ``workers``
-    (default: ``config.workers``) routes exploration through
-    :class:`repro.engine.parallel.ParallelExplorer` when above 1; the
-    multiset of outcomes — and hence every verdict — is identical to the
-    sequential run.
+    budgets, and instrumentation behave identically here.  Every test
+    runs through :class:`repro.engine.parallel.ParallelExplorer` at
+    ``workers`` (default: ``config.workers``) processes; the multiset of
+    outcomes — and hence every verdict — is the same at any count.
     """
 
     def __init__(
@@ -159,16 +158,10 @@ class SymbolicTester:
             solver=solver,
             unknown_policy=self.config.unknown_policy,
         )
-        if self.workers > 1:
-            explorer = ParallelExplorer(
-                prog, sm, self.config,
-                strategy=self.strategy, events=self.events,
-                workers=self.workers,
-            )
-        else:
-            explorer = Explorer(
-                prog, sm, self.config, strategy=self.strategy, events=self.events
-            )
+        explorer = ParallelExplorer(
+            prog, sm, self.config,
+            strategy=self.strategy, events=self.events, workers=self.workers,
+        )
         start = time.perf_counter()
         result = explorer.run(entry, args)
         bugs = [self._diagnose(prog, entry, fin, solver) for fin in result.errors]

@@ -6,8 +6,8 @@ import pytest
 
 from repro.engine.config import EngineConfig, gillian, javert2_baseline
 from repro.engine.explorer import Explorer
-from repro.engine.results import ExecutionResult, ExecutionStats
-from repro.gil.semantics import OutcomeKind
+from repro.engine.results import ExecutionResult, ExecutionStats, merge_results
+from repro.gil.semantics import OutcomeKind, make_call_config
 from repro.gil.syntax import (
     Assignment,
     Call,
@@ -191,6 +191,54 @@ class TestCheckpointFold:
         assert replays == sorted(replays)
         assert counters(saved.stats) == counters(plain.stats)
         assert saved.stats.summary_replays > 0
+
+
+class TestSeedingDepths:
+    """A frontier handed back to ``explore_frontier`` keeps counting its
+    loop-unrolling bound from the cut, as an uninterrupted run does."""
+
+    # Twelve steps, a symbolic branch, then a 1-step short arm and a
+    # 9-step long arm: under a per-path bound of 20 the whole run keeps
+    # the short arm and drops the long one.
+    PROG = prog_of(
+        Proc("main", (), (
+            *(Assignment("i", Lit(k)) for k in range(12)),
+            ISym("b", 0),
+            IfGoto(PVar("b").lt(Lit(0)), 15),
+            Return(Lit("short")),
+            *(Assignment("i", Lit(k)) for k in range(8)),
+            Return(Lit("long")),
+        )),
+    )
+
+    def test_restored_frontier_drops_where_the_whole_run_drops(self):
+        config = EngineConfig(max_steps_per_path=20)
+        whole = symbolic_explorer(self.PROG, config).run("main")
+        assert [f.value for f in whole.finals] == [Lit("short")]
+        assert whole.stats.paths_dropped == 1
+
+        sm = SymbolicStateModel(WhileSymbolicMemory())
+        explorer = Explorer(self.PROG, sm, config)
+        entry = make_call_config(sm, sm.initial_state(), self.PROG, "main", [])
+        cut, _ = explorer.explore_frontier([entry], 2)
+        configs = [cfg for cfg, _ in cut]
+        depths = [depth for _, depth in cut]
+        assert min(depths) > 12  # both arms are past the branch
+
+        # A frontier that already holds the target comes back unstepped.
+        again, seeded = explorer.explore_frontier(configs, 2, depths)
+        assert [depth for _, depth in again] == depths
+        assert seeded.stats.commands_executed == 0
+
+        # Re-seeding towards a larger target drains the cut: the long arm
+        # (9 steps left, under 20) must still drop at its true depth.
+        items, reseeded = explorer.explore_frontier(configs, 3, depths)
+        rest = explorer.explore(
+            [cfg for cfg, _ in items], [depth for _, depth in items]
+        )
+        total = merge_results([reseeded, rest])
+        assert [f.value for f in total.finals] == [Lit("short")]
+        assert total.stats.paths_dropped == 1
 
 
 class TestGcBatching:

@@ -319,6 +319,54 @@ class TestParallelExplorer:
             model_factory_for(object(), EngineConfig())
 
 
+class TestCheckpointedRounds:
+    """``round_items`` deals the frontier in rounds, and the checkpoint
+    hook saves the unprocessed remainder after each round."""
+
+    class Spy:
+        """A checkpoint hook that only records the between-round saves."""
+
+        interval = 0  # no snapshots inside a drive
+
+        def __init__(self):
+            self.sizes = []
+
+        def save(self, frontier, finals, stats):
+            self.sizes.append(len(frontier))
+
+    @staticmethod
+    def bushy_prog(levels=4):
+        """Both arms of every branch continue: ``2**levels`` live paths,
+        so seeding builds a frontier of the full target."""
+        body = (Assignment("acc", Lit(0)),)
+        body += tuple(ISym(f"b{i}", i) for i in range(levels))
+        for i in range(levels):
+            base = 1 + levels + 4 * i
+            body += (
+                IfGoto(PVar(f"b{i}").lt(Lit(0)), base + 3),
+                Assignment("acc", PVar("acc") + Lit(1)),
+                Goto(base + 4),
+                Assignment("acc", PVar("acc") - Lit(1)),
+            )
+        body += (Return(PVar("acc")),)
+        return prog_of(Proc("main", (), body))
+
+    def test_rounds_save_the_shrinking_remainder(self):
+        prog = self.bushy_prog()
+        spy = self.Spy()
+        result = ParallelExplorer(
+            prog, sym_model(), EngineConfig(), workers=2,
+            checkpoint=spy, round_items=2,
+        ).run("main")
+        # Seeding targets 2 workers x 4 items; each round takes two.
+        assert spy.sizes and spy.sizes[0] >= 6
+        assert spy.sizes == list(range(spy.sizes[0], 0, -2))
+        reference = Explorer(prog, sym_model(), EngineConfig()).run("main")
+        assert keys(result) == keys(reference)
+        assert result.stats.commands_executed == reference.stats.commands_executed
+        assert result.stats.stop_reason == "exhausted"
+
+
 class TestBudgetSlicing:
     def test_shard_slice_divides_remaining_bounds(self):
         budget = Budget(max_paths=10, max_total_steps=100, deadline=9.0,

@@ -1,5 +1,6 @@
 """Tests for the first-order solver (repro.logic.solver)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,6 +58,35 @@ class TestBasicSat:
     def test_transitive_equalities(self):
         s = fresh_solver()
         assert s.check([x.eq(y), y.eq(z), x.neq(z)]) is SatResult.UNSAT
+
+
+class TestDiseqPointConflict:
+    """Disequalities against a point interval: the only UNSAT proof of
+    these conjunctions, which fall to UNKNOWN without it."""
+
+    ROWS = {
+        "point": [Lit(2).leq(x), x.leq(Lit(2)), x.neq(Lit(2))],
+        "sum-of-points": [
+            Lit(1).leq(x), x.leq(Lit(1)), Lit(2).leq(y), y.leq(Lit(2)),
+            (x + y).neq(Lit(3)),
+        ],
+        "scaled": [x.leq(Lit(3)), Lit(3).leq(x), y.eq(Lit(2) * x), y.neq(Lit(6))],
+        "three-points": [
+            Lit(1).leq(x), x.leq(Lit(1)), Lit(2).leq(y), y.leq(Lit(2)),
+            Lit(3).leq(z), z.leq(Lit(3)), (x + y + z).neq(Lit(6)),
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_monolithic_pipeline_refutes(self, name):
+        assert fresh_solver().check(self.ROWS[name]) is SatResult.UNSAT
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_incremental_pipeline_refutes(self, name):
+        pc = PathCondition.of()
+        for conjunct in self.ROWS[name]:
+            pc = pc.conjoin(conjunct)
+        assert fresh_solver().check(pc) is SatResult.UNSAT
 
 
 class TestSymbols:
