@@ -19,7 +19,6 @@ from repro.engine.parallel import (
     ConcreteModelFactory,
     ParallelExplorer,
     SymbolicModelFactory,
-    WorkerError,
     resolve_workers,
 )
 from repro.engine.results import (
@@ -35,7 +34,6 @@ from repro.engine.strategy import (
     BFSStrategy,
     CoverageGuidedStrategy,
     DFSStrategy,
-    RandomStrategy,
     SearchStrategy,
     make_strategy,
     strategy_names,
@@ -47,10 +45,10 @@ __all__ = [
     "ConcreteModelFactory", "CoverageGuidedStrategy", "DFSStrategy",
     "EngineConfig", "EventBus", "ExecutionResult", "ExecutionStats",
     "Explorer", "Incompleteness", "ParallelExplorer", "PathEndEvent",
-    "RandomStrategy", "RunReport", "STOP_REASON_PRECEDENCE",
+    "RunReport", "STOP_REASON_PRECEDENCE",
     "SearchStrategy", "ShardLostEvent", "ShardRetryEvent",
     "SolverQueryEvent", "SolverUnknownEvent", "StepEvent", "StopReason",
-    "SymbolicModelFactory", "WorkerError", "WorkerEvent", "gillian",
+    "SymbolicModelFactory", "WorkerEvent", "gillian",
     "javert2_baseline", "make_strategy", "merge_results",
     "merge_stop_reasons", "resolve_workers", "strategy_names",
 ]

@@ -32,7 +32,8 @@ class StopReason(enum.Enum):
     #: the worklist drained — every path ran to a final or was dropped at
     #: its depth bound (the only *exhaustive* stop)
     EXHAUSTED = "exhausted"
-    #: the ``max_paths`` eviction emptied the worklist
+    #: the ``max_paths`` cap evicted or dropped at least one pending path
+    #: (the run may still have drained the rest of its worklist)
     MAX_PATHS = "max-paths"
     #: the global ``max_total_steps`` command budget ran out
     MAX_TOTAL_STEPS = "max-total-steps"
@@ -54,8 +55,9 @@ class BudgetDecision:
     current item and everything pending), ``drop_path`` (discard the
     current item only, keep running), or neither (continue; first
     evicting ``evict`` pending items if positive).  ``cap_hit`` marks a
-    drop caused by the path cap rather than the depth bound, so the
-    scheduler can report ``max-paths`` when the cap drains the worklist.
+    drop caused by the path cap rather than the depth bound: the
+    scheduler reports ``max-paths`` for a run whose cap evicted or
+    dropped anything, and ``exhausted`` for depth-bound drops alone.
     """
 
     stop: Optional[StopReason] = None
@@ -119,6 +121,18 @@ class Budget:
             max_total_steps=-(-remaining_steps // shards),
             deadline=deadline,
         )
+
+    def spent(self) -> Optional[StopReason]:
+        """The first global bound with nothing left, in :meth:`decide`'s
+        order, or None.  A run under a spent budget would drop every item
+        at its first decision, stopping for that reason."""
+        if self.max_total_steps <= 0:
+            return StopReason.MAX_TOTAL_STEPS
+        if self.deadline is not None and self.deadline <= 0:
+            return StopReason.DEADLINE
+        if self.max_paths <= 0:
+            return StopReason.MAX_PATHS
+        return None
 
     def scaled(self, factor: float) -> "Budget":
         """A cheaper copy of this budget, every global bound multiplied

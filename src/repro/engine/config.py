@@ -21,9 +21,6 @@ from typing import Optional, Union
 #: valid values for :attr:`EngineConfig.unknown_policy`
 UNKNOWN_POLICIES = ("assume-sat", "prune", "abort")
 
-#: valid values for :attr:`EngineConfig.shard_failure`
-SHARD_FAILURE_MODES = ("degrade", "raise")
-
 #: valid values for :attr:`EngineConfig.summary_mode`
 SUMMARY_MODES = ("verify", "incorrectness")
 
@@ -43,14 +40,6 @@ class EngineConfig:
     #: solver contexts, delta-only normalization, parent-model reuse); off
     #: means every query re-solves the whole conjunction monolithically
     solver_incremental: bool = True
-    #: gen-0 garbage-collector threshold while a drive loop runs (0:
-    #: leave the collector alone).  Path exploration allocates short-lived
-    #: states, configs, and expression nodes at a rate that makes the
-    #: default gen-0 threshold (~700 allocations) collect hundreds of
-    #: times per run; batching collections recovers a double-digit share
-    #: of wall time with bounded peak memory.  Purely a timing knob —
-    #: results are unaffected.
-    gc_batch: int = 50_000
     #: bound on GIL commands executed along a single path (loop unrolling
     #: bound; paper §1: "unrolling loops up to a bound")
     max_steps_per_path: int = 100_000
@@ -60,11 +49,9 @@ class EngineConfig:
     max_total_steps: int = 5_000_000
     #: wall-clock budget per ``explore`` call, in seconds (None: unbounded)
     deadline: Optional[float] = None
-    #: search strategy spec: "dfs" | "bfs" | "random" | "random:<seed>" |
-    #: "coverage" (see :mod:`repro.engine.strategy`)
+    #: search strategy: "dfs" | "bfs" | "coverage" (see
+    #: :mod:`repro.engine.strategy`)
     strategy: str = "dfs"
-    #: PRNG seed for the "random" strategy (when the spec carries none)
-    random_seed: int = 0
     #: worker processes for path exploration: 1 (sequential, the
     #: default), an explicit count, or "auto" (``os.cpu_count()``).
     #: Values above 1 route harness/parallel-explorer runs through
@@ -97,27 +84,17 @@ class EngineConfig:
     unknown_policy: str = "assume-sat"
     #: how many times a crashed/hung parallel shard is re-sharded and
     #: retried before its frontier is abandoned (counted per shard
-    #: lineage, not per run)
+    #: lineage, not per run); exhausted retries downgrade the run to stop
+    #: reason ``"incomplete"``, keeping the healthy shards' results and
+    #: reporting the lost frontier on the result
     max_shard_retries: int = 2
     #: seconds of backoff before retry round ``r`` (scaled by ``r``);
     #: affects wall clock only, never results
     shard_retry_backoff: float = 0.05
-    #: ``"degrade"`` (default): exhausted shard retries downgrade the run
-    #: to stop reason ``"incomplete"`` — partial results from healthy
-    #: shards are kept and the lost frontier is reported on the result;
-    #: ``"raise"``: restore the historical behaviour of raising
-    #: :class:`~repro.engine.parallel.WorkerError` on the first failure.
-    shard_failure: str = "degrade"
     #: wall-clock seconds a silent worker may run before it is declared
     #: hung, terminated, and treated as a crashed shard (None: wait
     #: forever — hung workers then stall the run, as they always did)
     worker_timeout: Optional[float] = None
-    #: seconds the parent waits when joining a worker process at shutdown
-    #: before escalating to ``terminate()``
-    worker_join_timeout: float = 30.0
-    #: seconds between polls of the worker result queue (also the
-    #: granularity of crash detection)
-    worker_result_poll: float = 0.2
     #: compositional execution via function summaries
     #: (:mod:`repro.specs`): a pure procedure is executed once against
     #: fresh symbolic arguments under ``π = true`` and replayed at call
@@ -158,11 +135,6 @@ class EngineConfig:
             raise ValueError(
                 f"unknown_policy must be one of {UNKNOWN_POLICIES}, "
                 f"got {self.unknown_policy!r}"
-            )
-        if self.shard_failure not in SHARD_FAILURE_MODES:
-            raise ValueError(
-                f"shard_failure must be one of {SHARD_FAILURE_MODES}, "
-                f"got {self.shard_failure!r}"
             )
         if self.max_shard_retries < 0:
             raise ValueError(

@@ -174,7 +174,8 @@ class SpanEnd:
     enough to leave on whenever a bus is attached: ``seed`` and
     ``explore`` come from the scheduler, ``shards`` and ``merge`` from
     the parallel explorer, ``compile`` from the testing harness, and
-    ``solver/*`` from :func:`repro.obs.profile.solver_phase_spans`.
+    ``solver/*`` from the scheduler, out of the solver phase times a run
+    accrues under ``EngineConfig.profile_solver_phases``.
     Worker processes emit their own ``explore`` spans, which arrive
     wrapped in :class:`WorkerEvent`.
     """

@@ -75,6 +75,10 @@ from repro.logic.solver import UnknownAbort
 
 _VANISH = OutcomeKind.VANISH
 
+#: gen-0 collector threshold while a drive loop runs (see
+#: :func:`_batched_gc`); a timing constant that never changes results
+GC_BATCH = 50_000
+
 
 @contextmanager
 def _batched_gc(threshold: int):
@@ -85,7 +89,8 @@ def _batched_gc(threshold: int):
     double-digit share of wall time.  Collection stays *enabled* (peak
     memory remains bounded); only the batch size grows.  Reentrant:
     a nested drive (e.g. counter-model replay inside a test) sees the
-    already-raised threshold and leaves it alone.
+    already-raised threshold and leaves it alone.  ``threshold`` 0 leaves
+    the collector alone.
     """
     if threshold <= 0 or not gc.isenabled():
         yield
@@ -104,8 +109,8 @@ def _batched_gc(threshold: int):
 class Explorer:
     """Runs a GIL program under a state model to completion.
 
-    ``strategy`` accepts a spec string (``"dfs"``, ``"bfs"``,
-    ``"random[:seed]"``, ``"coverage"``) or a ready
+    ``strategy`` accepts a policy name (``"dfs"``, ``"bfs"``,
+    ``"coverage"``) or a ready
     :class:`SearchStrategy` instance; None defers to
     ``config.strategy``.  ``budget`` defaults to the bounds the config
     carries.  ``events`` is an optional :class:`EventBus`.
@@ -193,7 +198,7 @@ class Explorer:
 
     def _make_strategy(self) -> SearchStrategy:
         spec = self.strategy if self.strategy is not None else self.config.strategy
-        return make_strategy(spec, seed=self.config.random_seed)
+        return make_strategy(spec)
 
     def _drive(
         self,
@@ -209,7 +214,9 @@ class Explorer:
         the first step, when the pushed configs already number that many).
 
         Returns ``(frontier_items, stop_reason)`` — items empty unless a
-        frontier was cut, stop None unless a bound fired.
+        frontier was cut, stop None unless a bound fired (the path cap
+        counts as fired once it has evicted or dropped a pending path,
+        even if a frontier is handed back afterwards).
         """
         budget = self.budget
         bus = self.events  # truthy only when subscribers are attached
@@ -282,12 +289,13 @@ class Explorer:
                     stats.paths_dropped += 1 + len(strategy)
                     stop = decision.stop
                     break
-                if decision.evict:
+                if decision.evict or decision.cap_hit:
+                    # The path cap cut pending work: whatever follows, the
+                    # run is no longer exhaustive.
                     stats.paths_dropped += len(strategy.evict(decision.evict))
+                    stop = StopReason.MAX_PATHS
                 if decision.drop_path:
                     stats.paths_dropped += 1
-                    if decision.cap_hit and not len(strategy):
-                        stop = StopReason.MAX_PATHS
                     continue
 
                 if ck_every and stats.commands_executed >= ck_next:
@@ -381,7 +389,8 @@ class Explorer:
         seeding stats.  ``result.stats.stop_reason`` is ``""`` while the
         frontier is live, or the budget's stop reason if a global bound
         fired mid-seed (the frontier is then dropped and counted, exactly
-        as :meth:`explore` would have).
+        as :meth:`explore` would have).  A path cap that evicted during
+        seeding reads ``"max-paths"`` even when a frontier comes back.
         """
         from repro.engine.strategy import BFSStrategy
 
@@ -413,10 +422,10 @@ class Explorer:
         try:
             for i, cfg in enumerate(configs):
                 strategy.push((cfg, depths[i] if depths is not None else 0))
-            with _batched_gc(self.config.gc_batch):
+            with _batched_gc(GC_BATCH):
                 items, stop = self._drive(strategy, stats, finals, start, target)
-            if not items:
-                # The run either drained (exhausted) or a bound fired.
+            if stop is not None or not items:
+                # A bound fired, or the run drained (exhausted).
                 stats.stop_reason = (stop or StopReason.EXHAUSTED).value
         finally:
             if routed:

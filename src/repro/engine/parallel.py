@@ -76,7 +76,7 @@ from repro.engine.events import (
     WorkerEvent,
 )
 from repro.engine.explorer import Explorer
-from repro.engine.results import ExecutionResult, merge_results
+from repro.engine.results import ExecutionResult, merge_results, merge_stop_reasons
 from repro.engine.strategy import StrategySpec, make_strategy
 from repro.gil.semantics import Config
 from repro.gil.syntax import Prog
@@ -92,6 +92,14 @@ SEED_FACTOR = 4
 #: may still have the payload in flight through the queue's feeder pipe;
 #: a few extra polls let it land before the shard is written off.
 _DEAD_WORKER_GRACE_POLLS = 3
+
+#: Seconds between polls of a round's result queue; also the granularity
+#: of crash and hang detection.
+_RESULT_POLL = 0.2
+
+#: Seconds the parent waits to join a worker process, or the event
+#: drainer thread, at shutdown before giving up on it.
+_JOIN_TIMEOUT = 30.0
 
 
 def resolve_workers(spec: Union[int, str, None]) -> int:
@@ -232,10 +240,6 @@ def _worker_main(
         result_q.put(("err", worker_id, traceback.format_exc()))
 
 
-class WorkerError(RuntimeError):
-    """A worker process failed; carries the worker's traceback text."""
-
-
 # -- the parallel explorer ----------------------------------------------------
 
 
@@ -296,8 +300,9 @@ class ParallelExplorer:
         if self.workers > 1:
             # Validate the strategy spec up front: a malformed spec should
             # fail in the caller's process, not inside N workers.
-            spec = self.strategy if self.strategy is not None else self.config.strategy
-            make_strategy(spec, seed=self.config.random_seed)
+            make_strategy(
+                self.strategy if self.strategy is not None else self.config.strategy
+            )
 
     @functools.cached_property
     def backoff(self) -> BackoffPolicy:
@@ -318,10 +323,12 @@ class ParallelExplorer:
         seeds a frontier cut breadth-first (checkpointing through the
         hook), then deals it to the workers in rounds of at most
         ``round_items``.  Each round's budget is what remains after the
-        seed and every earlier round (steps, paths, elapsed time), and
-        the checkpoint saves the unprocessed remainder after each round,
-        so a kill at any round boundary resumes with exactly the path set
-        one uninterrupted run covers.
+        seed and every earlier round (steps, paths, elapsed time); once a
+        global bound has nothing left, no further round starts and the
+        undealt items count as dropped.  The checkpoint saves the
+        unprocessed remainder after each round, so a kill at any round
+        boundary resumes with exactly the path set one uninterrupted run
+        covers.
         """
         seq = Explorer(
             self.prog, self.sm, self.config,
@@ -356,6 +363,16 @@ class ParallelExplorer:
                 paths_found=merged.stats.paths_finished,
                 elapsed=time.perf_counter() - start,
             )
+            spent = slice_budget.spent()
+            if spent is not None:
+                # A global bound has nothing left: drop the undealt items
+                # here, as the workers' first decision would, without
+                # starting them.
+                merged.stats.paths_dropped += len(batch) + len(items)
+                merged.stats.stop_reason = merge_stop_reasons(
+                    merged.stats.stop_reason, spent.value
+                )
+                break
             shards_start = time.perf_counter()
             parts = self._run_shards(shards, slice_budget, factory)
             merge_start = time.perf_counter()
@@ -390,9 +407,7 @@ class ParallelExplorer:
         reason ``"incomplete"``, the abandoned ``(Config, depth)`` items
         recorded on ``ExecutionResult.lost_frontier``, and the
         :class:`~repro.engine.results.Incompleteness` ledger counting
-        every retry and loss — instead of raising.  Set
-        ``EngineConfig.shard_failure="raise"`` to restore the fail-fast
-        :class:`WorkerError`.
+        every retry and loss — instead of raising.
         """
         from repro.engine.results import ExecutionStats
 
@@ -420,11 +435,6 @@ class ParallelExplorer:
                 parts.extend(results)
                 if not failures:
                     break
-                if cfg.shard_failure == "raise":
-                    worker_id, detail, _ = failures[0]
-                    raise WorkerError(
-                        f"parallel worker {worker_id} failed:\n{detail}"
-                    )
                 failed_items = [
                     item for _, _, items in failures for item in items
                 ]
@@ -463,14 +473,14 @@ class ParallelExplorer:
         finally:
             if event_q is not None:
                 event_q.put(None)  # drainer sentinel
-                drainer.join(timeout=cfg.worker_join_timeout)
+                drainer.join(timeout=_JOIN_TIMEOUT)
 
         if drainer is not None and drainer.is_alive():
-            # Raised outside the finally so it cannot mask a WorkerError.
+            # Raised outside the finally so it cannot mask an exception
+            # already propagating out of the round loop.
             raise RuntimeError(
                 f"parallel event-drainer thread failed to shut down within "
-                f"worker_join_timeout={cfg.worker_join_timeout}s; a bus "
-                f"subscriber is likely blocked"
+                f"{_JOIN_TIMEOUT}s; a bus subscriber is likely blocked"
             )
 
         if not acct.incompleteness.clean or acct.incompleteness.shards_retried:
@@ -531,9 +541,7 @@ class ParallelExplorer:
         )
         while outstanding:
             try:
-                kind, worker_id, payload = result_q.get(
-                    timeout=cfg.worker_result_poll
-                )
+                kind, worker_id, payload = result_q.get(timeout=_RESULT_POLL)
             except queue_mod.Empty:
                 if hard_deadline is not None and time.monotonic() > hard_deadline:
                     for i in sorted(outstanding):
@@ -565,7 +573,7 @@ class ParallelExplorer:
             outstanding.discard(worker_id)
 
         for proc in procs:
-            proc.join(timeout=cfg.worker_join_timeout)
+            proc.join(timeout=_JOIN_TIMEOUT)
             if proc.is_alive():
                 proc.terminate()
                 proc.join()

@@ -21,9 +21,6 @@ Implemented policies:
 * :class:`DFSStrategy` — LIFO stack; the classic depth-first engine loop.
 * :class:`BFSStrategy` — FIFO queue; breadth-first, finds shallow bugs
   first.
-* :class:`RandomStrategy` — uniformly random next item from a seeded PRNG;
-  reproducible for a given seed, used to surface exploration-order
-  sensitivity.
 * :class:`CoverageGuidedStrategy` — prefers configurations at the
   least-visited ``(proc, command-index)`` site (visit counts are bumped as
   items are popped), breaking ties FIFO; a greedy novelty search.
@@ -32,7 +29,6 @@ Implemented policies:
 from __future__ import annotations
 
 import heapq
-import random
 from collections import deque
 from typing import Dict, Iterable, List, Tuple, Union
 
@@ -56,7 +52,7 @@ class SearchStrategy:
 
     Subclasses must keep :meth:`pop` and :meth:`evict` deterministic:
     given the same sequence of pushes, the same items come out in the
-    same order (seeded PRNGs count as deterministic).
+    same order.
     """
 
     #: short policy name, reported in benchmark output
@@ -83,9 +79,9 @@ class SearchStrategy:
         Used by checkpointing (:mod:`repro.service.checkpoint`): the
         returned tuple, pushed in order into a fresh strategy of the
         same type, reproduces the same worklist contents.  For DFS and
-        BFS the rebuilt schedule is byte-identical; for the stateful
-        policies (random PRNG position, coverage visit counts) only the
-        *item set* is preserved — which is all outcome determinism needs,
+        BFS the rebuilt schedule is byte-identical; for the coverage
+        policy (whose visit counts are not saved) only the *item set* is
+        preserved — which is all outcome determinism needs,
         since exhaustive exploration is schedule-independent.
         """
         raise NotImplementedError
@@ -163,40 +159,6 @@ class BFSStrategy(SearchStrategy):
         return len(self._queue)
 
 
-class RandomStrategy(SearchStrategy):
-    """Uniformly random next item, from a seeded PRNG (reproducible).
-
-    ``pop`` swap-removes a random index (O(1)); ``evict`` removes random
-    items with the same PRNG, so a given seed fixes the whole schedule.
-    """
-
-    name = "random"
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
-        self._rng = random.Random(seed)
-        self._items: List[WorkItem] = []
-
-    def push(self, item: WorkItem) -> None:
-        self._items.append(item)
-
-    def pop(self) -> WorkItem:
-        idx = self._rng.randrange(len(self._items))
-        self._items[idx], self._items[-1] = self._items[-1], self._items[idx]
-        return self._items.pop()
-
-    def evict(self, count: int) -> List[WorkItem]:
-        count = min(count, len(self._items))
-        return [self.pop() for _ in range(count)]
-
-    def snapshot(self) -> Tuple[WorkItem, ...]:
-        """The pending item list (insertion order; PRNG state excluded)."""
-        return tuple(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
 class CoverageGuidedStrategy(SearchStrategy):
     """Prefer configurations at the least-visited ``(proc, idx)`` site.
 
@@ -260,14 +222,13 @@ class CoverageGuidedStrategy(SearchStrategy):
         return len(self._heap)
 
 
-#: Specs accepted anywhere a strategy is configurable: a policy name
-#: (optionally ``random:<seed>``), or an instance passed through as-is.
+#: Specs accepted anywhere a strategy is configurable: a policy name, or
+#: an instance passed through as-is.
 StrategySpec = Union[str, SearchStrategy, None]
 
 _FACTORIES = {
     "dfs": DFSStrategy,
     "bfs": BFSStrategy,
-    "random": RandomStrategy,
     "coverage": CoverageGuidedStrategy,
 }
 
@@ -276,13 +237,13 @@ def strategy_names() -> List[str]:
     return sorted(_FACTORIES)
 
 
-def make_strategy(spec: StrategySpec = None, seed: int = 0) -> SearchStrategy:
+def make_strategy(spec: StrategySpec = None) -> SearchStrategy:
     """Build a fresh strategy from a spec.
 
     ``spec`` may be None (DFS, the historical default), a name from
-    :func:`strategy_names`, ``"random:<seed>"`` (an explicit seed
-    overriding ``seed``), or an already-built :class:`SearchStrategy`,
-    which is returned unchanged.
+    :func:`strategy_names` (case and surrounding whitespace ignored), or
+    an already-built :class:`SearchStrategy`, which is returned
+    unchanged.
     """
     if isinstance(spec, SearchStrategy):
         return spec
@@ -293,24 +254,9 @@ def make_strategy(spec: StrategySpec = None, seed: int = 0) -> SearchStrategy:
             f"strategy spec must be a name string or a SearchStrategy, "
             f"got {type(spec).__name__}: {spec!r}"
         )
-    name, sep, arg = spec.partition(":")
-    name = name.strip().lower()
-    factory = _FACTORIES.get(name)
+    factory = _FACTORIES.get(spec.strip().lower())
     if factory is None:
         raise ValueError(
             f"unknown search strategy {spec!r} (known: {', '.join(strategy_names())})"
         )
-    if factory is RandomStrategy:
-        if not sep:
-            return RandomStrategy(seed=seed)
-        try:
-            explicit = int(arg.strip())
-        except ValueError:
-            raise ValueError(
-                f"malformed strategy spec {spec!r}: 'random:' takes an "
-                f"integer seed, got {arg!r}"
-            ) from None
-        return RandomStrategy(seed=explicit)
-    if sep:
-        raise ValueError(f"strategy {name!r} takes no argument, got {spec!r}")
     return factory()

@@ -13,8 +13,6 @@ package is the consumer side:
   subscribes a registry to a bus and folds every engine event (including
   :class:`~repro.engine.events.WorkerEvent`-wrapped ones from parallel
   runs) into metrics;
-* :mod:`repro.obs.profile` — per-phase wall-clock/step spans emitted as
-  :class:`~repro.engine.events.SpanEnd` events;
 * :mod:`repro.obs.report` — the trace-analysis CLI
   (``python -m repro.obs.report trace.jsonl``) turning a JSONL trace
   into the paper-style run breakdown (§5-style solver/exploration
@@ -31,16 +29,13 @@ for where observability sits in the engine dataflow.
 
 from repro.obs.collect import MetricsCollector
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import PhaseProfiler, solver_phase_spans
 
 __all__ = [
     "MetricsCollector",
     "MetricsRegistry",
-    "PhaseProfiler",
     "ServiceMetrics",
     "TraceReport",
     "analyse_trace",
-    "solver_phase_spans",
 ]
 
 

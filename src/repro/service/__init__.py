@@ -28,7 +28,7 @@ from repro.service.checkpoint import Checkpoint, CheckpointManager
 from repro.service.degrade import DegradationPolicy
 from repro.service.jobs import JobFailure, JobResult, JobSpec, finals_digest
 from repro.service.queue import DurableQueue, JobLease, QueueFull
-from repro.service.runner import JobRunner, budget_for, verdict_for
+from repro.service.runner import JobRunner, budget_for
 from repro.service.store import ContentStore, GilStore, ResultStore
 from repro.targets import language_for
 
@@ -50,7 +50,6 @@ __all__ = [
     "budget_for",
     "finals_digest",
     "language_for",
-    "verdict_for",
 ]
 
 

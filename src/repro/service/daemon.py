@@ -52,7 +52,7 @@ from repro.service.checkpoint import CheckpointManager
 from repro.service.degrade import DegradationPolicy
 from repro.service.jobs import JobResult, JobSpec, finals_digest
 from repro.service.queue import DurableQueue, JobLease
-from repro.service.runner import InvalidJob, JobRunner, budget_for, verdict_for
+from repro.service.runner import InvalidJob, JobRunner, budget_for
 from repro.service.store import GilStore, ResultStore
 
 
@@ -231,8 +231,8 @@ class AnalysisService:
         res = outcome.result
         return JobResult(
             key=lease.key,
-            verdict=verdict_for(res),
-            bugs=len(res.errors),
+            verdict=outcome.verdict,
+            bugs=len(outcome.bugs),
             paths=res.stats.paths_finished,
             report=res.report,
             stats=res.stats.to_dict(),

@@ -123,7 +123,9 @@ class JobResult:
     """
 
     key: str
-    verdict: str                       # "bounded-verified[-incomplete]" | "bug" | ...
+    #: "bug" | "potential-bug" | "bounded-verified[-incomplete]", by
+    #: :func:`repro.testing.harness.judge`
+    verdict: str
     bugs: int
     paths: int
     report: RunReport

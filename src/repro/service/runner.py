@@ -19,6 +19,11 @@ checkpoints) and the engine.  A run proceeds in up to three phases:
    ``workers > 1`` a seeded frontier cut processed in rounds of
    ``round_items``, the unprocessed remainder saved between rounds.
 
+The total run is then judged the way the testing harness judges a test
+(:func:`~repro.testing.harness.judge`): each error final gets a
+counter-model and a concrete replay, and only a replayed bug makes the
+verdict ``"bug"``.
+
 The identity contract (exercised by the crash-resume suite): for an
 exhaustive run, base + resumed-run merged through
 :func:`~repro.engine.results.merge_results` has exactly the finals
@@ -29,7 +34,7 @@ composition), so neither the cut point nor the partition matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.engine.budget import Budget
@@ -39,6 +44,7 @@ from repro.engine.results import ExecutionResult, ExecutionStats, merge_results
 from repro.gil.semantics import make_call_config
 from repro.service.jobs import JobSpec
 from repro.targets import LANGUAGES, language_for
+from repro.testing.harness import Bug, SymbolicTester, judge
 
 
 class InvalidJob(ValueError):
@@ -60,28 +66,26 @@ def budget_for(spec: JobSpec) -> Budget:
     )
 
 
-def verdict_for(result: ExecutionResult) -> str:
-    """The job-level verdict a finished result supports."""
-    if result.errors:
-        return "bug"
-    if result.report.complete:
-        return "bounded-verified"
-    return "bounded-verified-incomplete"
-
-
 @dataclass
 class RunOutcome:
     """What one runner invocation produced.
 
     ``result`` is the *total* run — base progress from any adopted
-    snapshot merged with this invocation's exploration — and
-    ``compile_cache_hit`` records whether the GIL program came from the
-    content store (the warm path the service benchmark measures).
+    snapshot merged with this invocation's exploration — ``bugs`` its
+    diagnosed error finals, and ``compile_cache_hit`` records whether
+    the GIL program came from the content store (the warm path the
+    service benchmark measures).
     """
 
     result: ExecutionResult
     compile_cache_hit: bool = False
     resumed: bool = False
+    bugs: List[Bug] = field(default_factory=list)
+
+    @property
+    def verdict(self) -> str:
+        """The job-level verdict (see :func:`~repro.testing.harness.judge`)."""
+        return judge(self.bugs, self.result.report)
 
 
 class JobRunner:
@@ -144,8 +148,9 @@ class JobRunner:
         budget = budget if budget is not None else budget_for(spec)
 
         config = EngineConfig(unknown_policy=policy)
-        memory = language_for(spec.language).symbolic_memory()
-        sm = SymbolicModelFactory(memory, config)()
+        language = language_for(spec.language)
+        sm = SymbolicModelFactory(language.symbolic_memory(), config)()
+        tester = SymbolicTester(language, config)
 
         snapshot = checkpoint.load() if checkpoint is not None else None
         if snapshot is not None:
@@ -164,7 +169,8 @@ class JobRunner:
                 )
                 if not total.stats.stop_reason:
                     total.stats.stop_reason = "exhausted"
-                return RunOutcome(total, cache_hit, resumed=True)
+                bugs = tester.diagnose(prog, spec.entry, total.errors, sm.solver)
+                return RunOutcome(total, cache_hit, resumed=True, bugs=bugs)
         else:
             state = sm.initial_state()
             items = [(make_call_config(sm, state, prog, spec.entry, []), 0)]
@@ -180,7 +186,10 @@ class JobRunner:
         total = self._fold_base(checkpoint, session)
         if checkpoint is not None:
             checkpoint.clear()
-        return RunOutcome(total, cache_hit, resumed=snapshot is not None)
+        bugs = tester.diagnose(prog, spec.entry, total.errors, sm.solver)
+        return RunOutcome(
+            total, cache_hit, resumed=snapshot is not None, bugs=bugs
+        )
 
     # -- internals ----------------------------------------------------------
 

@@ -224,8 +224,8 @@ class SummaryEngine:
             ),
             # Complete = the sub-run drained with *every* path recorded:
             # no budget stop, no degraded solver decision, and no path
-            # dropped (a max-paths eviction can drain the worklist and
-            # still report "exhausted").
+            # dropped (a path dropped at the depth bound still ends the
+            # run "exhausted").
             complete=result.stats.stop_reason == "exhausted"
             and result.stats.incompleteness.clean
             and result.stats.paths_dropped == 0,

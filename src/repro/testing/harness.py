@@ -48,6 +48,26 @@ class Bug:
         return f"Bug({self.value!r}, {status})"
 
 
+def judge(bugs: Sequence[Bug], report: RunReport) -> str:
+    """The verdict a run's diagnosed bugs and report support: the one
+    rule the harness and the analysis service share.
+
+    ``"bug"`` needs a counter-model that reproduced the error on
+    concrete replay (Thm 3.6); bugs without one are only
+    ``"potential-bug"``.  A bug-free run is ``"bounded-verified"`` only
+    if it was *complete* — every path explored to its bound with no
+    degraded decision.  One that hit a global bound, timed out queries,
+    assumed or pruned UNKNOWN branches, or lost a shard is only
+    ``"bounded-verified-incomplete"``: the engine cannot honestly claim
+    the bound was covered.
+    """
+    if not bugs:
+        return "bounded-verified" if report.complete else "bounded-verified-incomplete"
+    if any(b.confirmed for b in bugs):
+        return "bug"
+    return "potential-bug"
+
+
 @dataclass
 class TestResult:
     """The outcome of one symbolic test."""
@@ -59,8 +79,8 @@ class TestResult:
     stats: ExecutionStats
     paths: int
     #: why exploration stopped and what it could not decide (see
-    #: :class:`repro.engine.results.RunReport`); None for legacy callers
-    report: Optional[RunReport] = None
+    #: :class:`repro.engine.results.RunReport`)
+    report: RunReport
 
     @property
     def passed(self) -> bool:
@@ -68,21 +88,8 @@ class TestResult:
 
     @property
     def verdict(self) -> str:
-        """``"bounded-verified"`` requires a *complete* run: every path
-        explored to its bound with no degraded decisions.  A bug-free
-        run that timed out queries, assumed/pruned UNKNOWN branches, or
-        lost a shard is only ``"bounded-verified-incomplete"`` — the
-        engine cannot honestly claim the bound was covered."""
-        if self.passed:
-            if self.report is not None and not (
-                self.report.stop_reason == "exhausted"
-                and self.report.incompleteness.clean
-            ):
-                return "bounded-verified-incomplete"
-            return "bounded-verified"
-        if any(b.confirmed for b in self.bugs):
-            return "bug"
-        return "potential-bug"
+        """See :func:`judge`."""
+        return judge(self.bugs, self.report)
 
 
 @dataclass
@@ -164,7 +171,7 @@ class SymbolicTester:
         )
         start = time.perf_counter()
         result = explorer.run(entry, args)
-        bugs = [self._diagnose(prog, entry, fin, solver) for fin in result.errors]
+        bugs = self.diagnose(prog, entry, result.errors, solver)
         result.stats.wall_time = time.perf_counter() - start
         return TestResult(
             name=name or entry,
@@ -185,23 +192,29 @@ class SymbolicTester:
 
     # -- counter-models and replay ------------------------------------------
 
-    def _diagnose(self, prog: Prog, entry: str, fin: Final, solver: Solver) -> Bug:
-        pc = fin.state.pc
-        # Pass the PathCondition itself: the error path's prefix context is
-        # usually already solved with a verified model in hand.
-        model = solver.get_model(pc)
-        confirmed = False
-        concrete_value = None
-        if model is not None and self.replay:
-            concrete_value = self.replay_model(prog, entry, model)
-            confirmed = concrete_value is not None
-        return Bug(
-            value=fin.value,
-            path_condition=pc,
-            model=model,
-            confirmed=confirmed,
-            concrete_value=concrete_value,
-        )
+    def diagnose(
+        self, prog: Prog, entry: str, errors: Sequence[Final], solver: Solver
+    ) -> List[Bug]:
+        """One :class:`Bug` per error final of a run of ``entry``: a
+        counter-model for its path condition from ``solver`` and, when
+        replay is on, the model's concrete replay."""
+        bugs = []
+        for fin in errors:
+            pc = fin.state.pc
+            # Pass the PathCondition itself: the error path's prefix
+            # context is usually already solved with a verified model.
+            model = solver.get_model(pc)
+            concrete_value = None
+            if model is not None and self.replay:
+                concrete_value = self.replay_model(prog, entry, model)
+            bugs.append(Bug(
+                value=fin.value,
+                path_condition=pc,
+                model=model,
+                confirmed=concrete_value is not None,
+                concrete_value=concrete_value,
+            ))
+        return bugs
 
     def enumerate_models(
         self, bug: Bug, count: int = 3

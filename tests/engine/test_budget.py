@@ -1,9 +1,12 @@
 """Tests for the unified execution budget (repro.engine.budget)."""
 
+import pytest
+
 from repro.engine.budget import Budget, StopReason
 from repro.engine.config import EngineConfig
 from repro.engine.explorer import Explorer
 from repro.engine.results import ExecutionStats
+from repro.engine.strategy import strategy_names
 from repro.gil.syntax import (
     Assignment,
     Goto,
@@ -15,7 +18,9 @@ from repro.gil.syntax import (
 )
 from repro.logic.expr import Lit, PVar
 from repro.state.symbolic import SymbolicStateModel
+from repro.targets.while_lang import WhileLanguage
 from repro.targets.while_lang.memory import WhileSymbolicMemory
+from repro.testing.harness import SymbolicTester
 
 
 def prog_of(*procs):
@@ -146,6 +151,41 @@ class TestSchedulerIntegration:
             )
             outcomes.append(sorted(repr(f.value) for f in result.finals))
         assert outcomes[0] == outcomes[1]
+
+
+class TestPathCapIsNotExhaustive:
+    """A run whose path cap evicted or dropped a pending path reports
+    ``max-paths``, so a bug-free survivor set is never read as bounded
+    verification."""
+
+    #: three paths: an assertion failure and two normal returns
+    SOURCE = """
+    proc main() {
+      x := symb_int();
+      if (x < 0) { assert(false); } else { skip; }
+      if (x = 0) { skip; } else { skip; }
+      return x;
+    }
+    """
+
+    def run(self, strategy, cap):
+        config = EngineConfig(max_paths=cap, strategy=strategy)
+        return SymbolicTester(WhileLanguage(), config=config).run_source(
+            self.SOURCE, "main"
+        )
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    @pytest.mark.parametrize("strategy", strategy_names())
+    def test_cap_below_the_path_count(self, strategy, cap):
+        # At the path count nothing is cut: the run is exhaustive.
+        full = self.run(strategy, 3)
+        assert (full.stats.paths_dropped, full.report.stop_reason) == (0, "exhausted")
+        assert full.verdict == "bug"
+
+        result = self.run(strategy, cap)
+        assert result.stats.paths_dropped > 0
+        assert result.report.stop_reason == "max-paths"
+        assert result.verdict != "bounded-verified"
 
 
 class _FakeTime:

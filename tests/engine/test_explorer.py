@@ -4,6 +4,7 @@ import gc
 
 import pytest
 
+import repro.engine.explorer as explorer_mod
 from repro.engine.config import EngineConfig, gillian, javert2_baseline
 from repro.engine.explorer import Explorer
 from repro.engine.results import ExecutionResult, ExecutionStats, merge_results
@@ -243,7 +244,7 @@ class TestSeedingDepths:
 
 class TestGcBatching:
     """A drive loop runs under a raised gen-0 collector threshold
-    (``EngineConfig.gc_batch``) and restores the caller's on exit."""
+    (``explorer.GC_BATCH``) and restores the caller's on exit."""
 
     class Probe:
         """A checkpoint hook reading the gen-0 threshold mid-drive."""
@@ -263,8 +264,10 @@ class TestGcBatching:
         Return(Lit(1)),
     )))
 
-    def drive(self, threshold, **overrides):
-        """Run PROG from gen-0 ``threshold``; return (mid-drive, after)."""
+    def drive(self, threshold, batch, monkeypatch):
+        """Run PROG from gen-0 ``threshold`` with ``GC_BATCH`` set to
+        ``batch``; return (mid-drive, after)."""
+        monkeypatch.setattr(explorer_mod, "GC_BATCH", batch)
         prev = gc.get_threshold()
         probe = self.Probe()
         gc.set_threshold(threshold, prev[1], prev[2])
@@ -272,7 +275,6 @@ class TestGcBatching:
             Explorer(
                 self.PROG,
                 SymbolicStateModel(WhileSymbolicMemory()),
-                EngineConfig(**overrides),
                 checkpoint=probe,
             ).run("main")
             after = gc.get_threshold()[0]
@@ -280,16 +282,17 @@ class TestGcBatching:
             gc.set_threshold(*prev)
         return probe.seen, after
 
-    def test_threshold_raised_then_restored(self):
-        assert self.drive(700, gc_batch=50_000) == ({50_000}, 700)
+    def test_threshold_raised_then_restored(self, monkeypatch):
+        assert explorer_mod.GC_BATCH == 50_000
+        assert self.drive(700, 50_000, monkeypatch) == ({50_000}, 700)
 
-    def test_zero_leaves_collector_alone(self):
-        assert self.drive(700, gc_batch=0) == ({700}, 700)
+    def test_zero_leaves_collector_alone(self, monkeypatch):
+        assert self.drive(700, 0, monkeypatch) == ({700}, 700)
 
-    def test_higher_threshold_left_alone(self):
+    def test_higher_threshold_left_alone(self, monkeypatch):
         # A nested drive (or a caller that already batches) keeps the
         # larger batch it found.
-        assert self.drive(80_000, gc_batch=50_000) == ({80_000}, 80_000)
+        assert self.drive(80_000, 50_000, monkeypatch) == ({80_000}, 80_000)
 
 
 class TestResults:

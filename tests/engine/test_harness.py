@@ -3,10 +3,14 @@
 import pytest
 
 from repro.engine.config import EngineConfig
+from repro.engine.results import Incompleteness, RunReport
 from repro.targets.while_lang import WhileLanguage
-from repro.testing.harness import Bug, SuiteResult, SymbolicTester, TestResult
+from repro.testing.harness import Bug, SuiteResult, SymbolicTester, TestResult, judge
 
 LANG = WhileLanguage()
+
+#: the report of a run that explored every path to its bound
+COMPLETE = RunReport("exhausted", Incompleteness())
 
 
 class TestVerdicts:
@@ -45,8 +49,32 @@ class TestVerdicts:
 
     def test_potential_bug_verdict_without_model(self):
         bug = Bug(value="x", path_condition=None, model=None, confirmed=False)
-        result = TestResult("t", [bug], stats=None, paths=1)
+        result = TestResult("t", [bug], stats=None, paths=1, report=COMPLETE)
         assert result.verdict == "potential-bug"
+
+
+class TestJudge:
+    """One verdict rule for the harness and the analysis service."""
+
+    CONFIRMED = Bug("v", None, {"val_0_0": 2}, True)
+    UNREPLAYED = Bug("v", None, {"val_0_0": 2}, False)
+    NO_MODEL = Bug("v", None, None, False)
+    CAPPED = RunReport("max-paths", Incompleteness())
+    DEGRADED = RunReport("exhausted", Incompleteness(unknown_assumed=1))
+
+    @pytest.mark.parametrize(
+        "bugs, report, verdict",
+        [
+            ([], COMPLETE, "bounded-verified"),
+            ([], CAPPED, "bounded-verified-incomplete"),
+            ([], DEGRADED, "bounded-verified-incomplete"),
+            ([NO_MODEL, CONFIRMED], CAPPED, "bug"),
+            ([NO_MODEL, UNREPLAYED], COMPLETE, "potential-bug"),
+        ],
+    )
+    def test_verdict_table(self, bugs, report, verdict):
+        assert judge(bugs, report) == verdict
+        assert TestResult("t", bugs, None, 1, report).verdict == verdict
 
 
 class TestReplayScripting:
@@ -87,7 +115,7 @@ class TestSuiteResult:
 
         bugs = [] if passed else [Bug("v", None, None, False)]
         stats = ExecutionStats(commands_executed=10, wall_time=0.1)
-        return TestResult(name, bugs, stats, paths=1)
+        return TestResult(name, bugs, stats, paths=1, report=COMPLETE)
 
     def test_aggregation(self):
         suite = SuiteResult("demo")

@@ -7,14 +7,13 @@ import pickle
 
 import pytest
 
-from repro.engine.budget import Budget
+from repro.engine.budget import Budget, StopReason
 from repro.engine.config import EngineConfig
 from repro.engine.events import EventBus, WorkerEvent, event_payload
 from repro.engine.explorer import Explorer
 from repro.engine.parallel import (
     ParallelExplorer,
     SymbolicModelFactory,
-    WorkerError,
     model_factory_for,
     resolve_workers,
 )
@@ -24,6 +23,7 @@ from repro.engine.results import (
     final_sort_key,
     merge_results,
 )
+from repro.gil.semantics import make_call_config
 from repro.gil.syntax import (
     Assignment,
     Fail,
@@ -264,7 +264,7 @@ class TestParallelExplorer:
         with pytest.raises(ValueError):
             ParallelExplorer(
                 branching_prog(), sym_model(), EngineConfig(), workers=2,
-                strategy="random:notanint",
+                strategy="montecarlo",
             )
 
     def test_events_are_forwarded_with_worker_ids(self):
@@ -280,15 +280,6 @@ class TestParallelExplorer:
         assert {e.worker_id for e in worker_events} <= {0, 1}
         payload = event_payload(worker_events[0])
         assert "worker_id" in payload and payload["event"] != "WorkerEvent"
-
-    def test_worker_failure_raises_under_shard_failure_raise(self):
-        prog = branching_prog()
-        explorer = ParallelExplorer(
-            prog, sym_model(), EngineConfig(shard_failure="raise"),
-            workers=2, seed_factor=1, factory=_ExplodingFactory(),
-        )
-        with pytest.raises(WorkerError, match="boom in worker"):
-            explorer.run("main")
 
     def test_worker_failure_degrades_to_incomplete_by_default(self):
         # Every worker explodes on every attempt, so retries exhaust and
@@ -365,6 +356,49 @@ class TestCheckpointedRounds:
         assert keys(result) == keys(reference)
         assert result.stats.commands_executed == reference.stats.commands_executed
         assert result.stats.stop_reason == "exhausted"
+
+
+class TestSpentBudget:
+    """No round is dealt once a global bound has nothing left: its items
+    are dropped in the parent, with that bound's stop reason."""
+
+    def test_no_round_after_the_step_budget_is_spent(self, monkeypatch):
+        rounds = []
+        real = ParallelExplorer._run_shards
+
+        def recording(self, shards, slice_budget, factory):
+            parts = real(self, shards, slice_budget, factory)
+            rounds.append(sum(p.stats.paths_dropped for p in parts))
+            return parts
+
+        monkeypatch.setattr(ParallelExplorer, "_run_shards", recording)
+        prog = TestCheckpointedRounds.bushy_prog()
+        sm = sym_model()
+        cfg = make_call_config(sm, sm.initial_state(), prog, "main", [])
+        items, seeded = Explorer(prog, sm).explore_frontier([cfg], 8)
+        assert len(items) == 8
+        # One step for each of round 1's two shards, then nothing left.
+        steps = seeded.stats.commands_executed + 2
+        result = ParallelExplorer(
+            prog, sym_model(), EngineConfig(), workers=2, round_items=2,
+            budget=Budget(max_total_steps=steps),
+        ).run("main")
+
+        assert len(rounds) == 1
+        assert result.stats.commands_executed == steps
+        assert result.stats.stop_reason == "max-total-steps"
+        # Round 1's drops, plus the 6 items never dealt.
+        assert result.stats.paths_dropped == rounds[0] + 6
+
+    def test_spent_names_the_first_empty_bound(self):
+        assert Budget().spent() is None
+        assert Budget(deadline=0.5).spent() is None
+        assert Budget(max_paths=0).spent() is StopReason.MAX_PATHS
+        assert Budget(max_paths=0, deadline=0.0).spent() is StopReason.DEADLINE
+        assert (
+            Budget(max_paths=0, max_total_steps=0, deadline=0.0).spent()
+            is StopReason.MAX_TOTAL_STEPS
+        )
 
 
 class TestBudgetSlicing:

@@ -8,7 +8,6 @@ from repro.engine.strategy import (
     BFSStrategy,
     CoverageGuidedStrategy,
     DFSStrategy,
-    RandomStrategy,
     SearchStrategy,
     make_strategy,
     strategy_names,
@@ -27,7 +26,7 @@ def item(proc: str, idx: int, depth: int = 0):
 
 class TestFactory:
     def test_names(self):
-        assert strategy_names() == ["bfs", "coverage", "dfs", "random"]
+        assert strategy_names() == ["bfs", "coverage", "dfs"]
 
     def test_default_is_dfs(self):
         assert isinstance(make_strategy(None), DFSStrategy)
@@ -38,10 +37,6 @@ class TestFactory:
             strat = make_strategy(name)
             assert isinstance(strat, SearchStrategy)
             assert strat.name == name
-
-    def test_random_seed_spec(self):
-        assert make_strategy("random:99").seed == 99
-        assert make_strategy("random", seed=7).seed == 7
 
     def test_instance_passthrough(self):
         strat = BFSStrategy()
@@ -68,25 +63,6 @@ class TestOrdering:
         for i in range(3):
             strat.push(item("p", i))
         assert [strat.pop()[0].idx for _ in range(3)] == [0, 1, 2]
-
-    def test_random_is_seed_deterministic(self):
-        orders = []
-        for _ in range(2):
-            strat = RandomStrategy(seed=5)
-            for i in range(8):
-                strat.push(item("p", i))
-            orders.append([strat.pop()[0].idx for _ in range(8)])
-        assert orders[0] == orders[1]
-        assert sorted(orders[0]) == list(range(8))
-
-    def test_random_seeds_differ(self):
-        def order(seed):
-            strat = RandomStrategy(seed=seed)
-            for i in range(16):
-                strat.push(item("p", i))
-            return [strat.pop()[0].idx for _ in range(16)]
-
-        assert order(1) != order(2)
 
     def test_coverage_prefers_least_visited_site(self):
         strat = CoverageGuidedStrategy()
@@ -125,16 +101,6 @@ class TestEviction:
         evicted = strat.evict(2)
         assert [it[0].idx for it in evicted] == [3, 4]
         assert strat.pop()[0].idx == 0
-
-    def test_random_eviction_deterministic(self):
-        def evicted(seed):
-            strat = RandomStrategy(seed=seed)
-            for i in range(6):
-                strat.push(item("p", i))
-            return [it[0].idx for it in strat.evict(3)]
-
-        assert evicted(3) == evicted(3)
-        assert len(evicted(3)) == 3
 
     def test_coverage_evicts_most_visited(self):
         strat = CoverageGuidedStrategy()
@@ -176,7 +142,7 @@ class TestExplorationInvariance:
 
     def test_identical_finals_across_strategies(self):
         reference = self._finals_multiset("dfs")
-        for spec in ("bfs", "random:17", "coverage"):
+        for spec in ("bfs", "coverage"):
             assert self._finals_multiset(spec) == reference
 
     def test_config_strategy_field_selects_policy(self):
@@ -196,23 +162,16 @@ class TestMalformedSpecs:
     """make_strategy must reject malformed specs with a clear ValueError,
     not silently fall back to a default policy."""
 
-    def test_random_with_empty_seed(self):
-        with pytest.raises(ValueError, match="integer seed"):
-            make_strategy("random:")
-
-    def test_random_with_non_integer_seed(self):
-        with pytest.raises(ValueError, match="notanint"):
-            make_strategy("random:notanint")
-
-    def test_random_with_float_seed(self):
-        with pytest.raises(ValueError, match="integer seed"):
-            make_strategy("random:1.5")
-
-    def test_random_with_whitespace_seed_accepted(self):
-        assert make_strategy("random: 42 ").seed == 42
+    def test_random_is_unknown(self):
+        # A spec is a bare policy name: no form of "random" names one.
+        for spec in ("random", "random:", "random:7", "random: 42 "):
+            with pytest.raises(
+                ValueError, match=r"unknown search strategy.*\(known: bfs, coverage, dfs\)"
+            ):
+                make_strategy(spec)
 
     def test_unknown_name_lists_known_ones(self):
-        with pytest.raises(ValueError, match="bfs.*coverage.*dfs.*random"):
+        with pytest.raises(ValueError, match="bfs.*coverage.*dfs"):
             make_strategy("montecarlo")
 
     def test_unknown_name_with_argument(self):

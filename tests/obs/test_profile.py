@@ -1,10 +1,26 @@
-"""Tests for phase profiling spans (repro.obs.profile)."""
+"""Tests for solver phase profiling (``EngineConfig.profile_solver_phases``).
 
+A solver built with ``profile_phases=True`` accrues wall clock per
+pipeline phase; the scheduler folds it into ``ExecutionStats.phase_times``
+and emits one ``solver/*`` span per phase that did work.
+"""
+
+from repro.engine.config import EngineConfig
 from repro.engine.events import EventBus, SpanEnd
-from repro.logic.expr import Lit, LVar
+from repro.engine.explorer import Explorer
+from repro.gil.semantics import Config, TopFrame
+from repro.gil.syntax import IfGoto, ISym, Proc, Prog, Return
+from repro.logic.expr import Lit, LVar, PVar
 from repro.logic.pathcond import PathCondition
 from repro.logic.solver import Solver
-from repro.obs.profile import SOLVER_PHASES, PhaseProfiler, Span, solver_phase_spans
+from repro.state.symbolic import SymbolicStateModel
+from repro.targets.while_lang.memory import WhileSymbolicMemory
+
+#: the solver pipeline phases, as named in spans and ``phase_times``
+PHASES = {"solver/split", "solver/propagation", "solver/search"}
+
+#: ``SolverStats`` attributes each phase's wall clock accrues in
+PHASE_ATTRS = ("split_time", "propagation_time", "search_time")
 
 
 def spans_on(bus, seen=None):
@@ -13,38 +29,22 @@ def spans_on(bus, seen=None):
     return seen
 
 
-class TestSpan:
-    def test_span_emits_on_end(self):
-        bus = EventBus()
-        seen = spans_on(bus)
-        span = Span("compile", bus)
-        span.add(3)
-        span.add()
-        event = span.end()
-        assert seen == [event]
-        assert event.name == "compile"
-        assert event.steps == 4
-        assert event.wall >= 0.0
-
-    def test_end_is_idempotent(self):
-        bus = EventBus()
-        seen = spans_on(bus)
-        span = Span("x", bus)
-        span.end()
-        span.end()
-        assert len(seen) == 1
-
-    def test_context_manager_ends_the_span(self):
-        bus = EventBus()
-        seen = spans_on(bus)
-        with PhaseProfiler(bus).span("setup") as span:
-            span.add(2)
-        assert len(seen) == 1 and seen[0].steps == 2
-
-    def test_no_bus_measures_without_emitting(self):
-        span = Span("quiet", None)
-        event = span.end()
-        assert event.name == "quiet"
+def branching_run(solver):
+    """Explore a two-branch program over ``solver``; return the stats and
+    every span the run emitted."""
+    prog = Prog()
+    prog.add(Proc("main", (), (
+        ISym("a", 0),
+        IfGoto(PVar("a").lt(Lit(0)), 3),
+        Return(Lit(0)),
+        Return(Lit(1)),
+    )))
+    bus = EventBus()
+    seen = spans_on(bus)
+    sm = SymbolicStateModel(WhileSymbolicMemory(), solver=solver)
+    cfg = Config(sm.initial_state(), (TopFrame("main"),), 0)
+    result = Explorer(prog, sm, EngineConfig(), events=bus).explore([cfg])
+    return result.stats, seen
 
 
 class TestSolverPhaseSpans:
@@ -61,25 +61,22 @@ class TestSolverPhaseSpans:
 
     def test_profiled_solver_accrues_phase_times(self):
         solver = self.branchy_solver()
-        accrued = [
-            getattr(solver.stats, attr) for _, attr in SOLVER_PHASES
-        ]
+        accrued = [getattr(solver.stats, attr) for attr in PHASE_ATTRS]
         assert any(t > 0 for t in accrued)
 
     def test_spans_cover_nonzero_phases_only(self):
-        solver = self.branchy_solver()
-        bus = EventBus()
-        seen = spans_on(bus)
-        events = solver_phase_spans(solver, bus)
-        assert events == seen
-        names = {e.name for e in events}
-        assert names  # at least one pipeline phase did work
-        assert names <= {name for name, _ in SOLVER_PHASES}
-        for event in events:
-            assert event.wall > 0
+        stats, seen = branching_run(Solver(profile_phases=True))
+        assert stats.phase_times  # at least one pipeline phase did work
+        assert set(stats.phase_times) <= PHASES
+        assert all(t > 0 for t in stats.phase_times.values())
+        solver_spans = {e.name: e.wall for e in seen if e.name.startswith("solver/")}
+        assert solver_spans == stats.phase_times
 
     def test_unprofiled_solver_emits_nothing(self):
         solver = Solver()
         x = LVar("x")
         solver.check(PathCondition.true().conjoin(x.lt(Lit(1))))
-        assert solver_phase_spans(solver, EventBus()) == []
+        assert all(getattr(solver.stats, attr) == 0.0 for attr in PHASE_ATTRS)
+        stats, seen = branching_run(Solver())
+        assert stats.phase_times == {}
+        assert not [e for e in seen if e.name.startswith("solver/")]

@@ -1,5 +1,6 @@
-"""The job runner's parallel rounds (repro.service.runner): each round's
-budget is what the seed and every earlier round left of the job's."""
+"""The job runner (repro.service.runner): each parallel round's budget
+is what the seed and every earlier round left of the job's, and a job's
+verdict is the one the testing harness would give."""
 
 from repro.engine.parallel import ParallelExplorer
 from repro.service import JobRunner, JobSpec
@@ -28,14 +29,49 @@ class TestRoundDeadlines:
             return real(self, shards, slice_budget, factory)
 
         monkeypatch.setattr(ParallelExplorer, "_run_shards", recording)
-        timeout = 0.5
+        # Long enough for every round to run: the 8-item frontier is dealt
+        # in 4 rounds of 2.
+        timeout = 60.0
         spec = JobSpec(
-            language="while", source=slow_program(), workers=2, timeout=timeout
+            language="while", source=slow_program(branches=5), workers=2,
+            timeout=timeout,
         )
         result = JobRunner(round_items=2).run(spec).result
 
-        assert result.stats.stop_reason == "deadline"
-        assert len(deadlines) > 1
+        assert result.stats.stop_reason == "exhausted"
+        assert len(deadlines) == 4
         assert all(d < timeout for d in deadlines)
-        # Strictly lower than the last while any time is left.
-        assert all(b < a for a, b in zip(deadlines, deadlines[1:]) if a > 0)
+        # Each round's deadline is what the seed and the rounds before it
+        # left, so it falls round by round.
+        assert all(b < a for a, b in zip(deadlines, deadlines[1:]))
+
+
+class TestVerdicts:
+    def test_unreplayed_error_is_a_potential_bug(self):
+        spec = JobSpec(
+            language="while",
+            source="""
+            proc main() {
+              x := symb_number();
+              if (x * x = 2) { assert(false); }
+              return x;
+            }""",
+        )
+        outcome = JobRunner().run(spec)
+        assert len(outcome.bugs) == 1 and outcome.bugs[0].model is None
+        assert outcome.verdict == "potential-bug"
+
+    def test_replayed_error_is_a_bug(self):
+        spec = JobSpec(
+            language="while",
+            source="""
+            proc main() {
+              n := symb_int();
+              assume(0 <= n and n <= 2);
+              assert(n != 2);
+            }""",
+        )
+        outcome = JobRunner().run(spec)
+        assert [b.model for b in outcome.bugs] == [{"val_0_0": 2}]
+        assert outcome.bugs[0].confirmed
+        assert outcome.verdict == "bug"

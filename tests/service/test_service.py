@@ -16,6 +16,8 @@ from repro.service import (
     JobSpec,
     QueueFull,
 )
+from repro.targets.while_lang import WhileLanguage
+from repro.testing.harness import SymbolicTester
 
 BUGGY = """
 proc main() {
@@ -45,6 +47,42 @@ proc main() {
 
 def svc_for(tmp_path, **kw):
     return AnalysisService(str(tmp_path), **kw)
+
+
+class TestOneVerdict:
+    """The service judges a job the way ``SymbolicTester`` judges a test:
+    ``"bug"`` needs a counter-model that reproduces the error on concrete
+    replay, and an error without one is only a ``"potential-bug"``."""
+
+    #: reachable-looking errors the solver finds no model for: no double
+    #: squares to exactly 2, and no small integers' cubes sum to 33
+    UNCONFIRMED = {
+        "square-two": """
+        proc main() {
+          x := symb_number();
+          if (x * x = 2) { assert(false); }
+          return x;
+        }""",
+        "cubes-33": """
+        proc main() {
+          x := symb_int();
+          y := symb_int();
+          if (x * x * x + y * y * y = 33) { assert(false); }
+          return x;
+        }""",
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNCONFIRMED))
+    def test_unreplayed_error_is_a_potential_bug(self, tmp_path, name):
+        source = self.UNCONFIRMED[name]
+        spec = JobSpec(language="while", source=source)
+        svc = svc_for(tmp_path)
+        svc.submit(spec)
+        svc.run_until_idle()
+        result = svc.result_for(spec.key())
+        tested = SymbolicTester(WhileLanguage()).run_source(source, "main")
+        assert (result.verdict, result.bugs) == ("potential-bug", 1)
+        assert tested.verdict == result.verdict
 
 
 class TestEndToEnd:
