@@ -162,13 +162,32 @@ class TestMalformedSpecs:
     """make_strategy must reject malformed specs with a clear ValueError,
     not silently fall back to a default policy."""
 
+    # A spec is a bare policy name: no form of "random", with or without
+    # a seed, names one, and the error lists the names that do.
+    UNKNOWN = r"unknown search strategy.*\(known: bfs, coverage, dfs\)"
+
     def test_random_is_unknown(self):
-        # A spec is a bare policy name: no form of "random" names one.
-        for spec in ("random", "random:", "random:7", "random: 42 "):
-            with pytest.raises(
-                ValueError, match=r"unknown search strategy.*\(known: bfs, coverage, dfs\)"
-            ):
+        for spec in ("random", "random:7"):
+            with pytest.raises(ValueError, match=self.UNKNOWN):
                 make_strategy(spec)
+
+    def test_random_with_empty_seed(self):
+        with pytest.raises(ValueError, match=self.UNKNOWN):
+            make_strategy("random:")
+
+    def test_random_with_non_integer_seed(self):
+        with pytest.raises(ValueError, match=r"'random:notanint'.*\(known: bfs, coverage, dfs\)"):
+            make_strategy("random:notanint")
+
+    def test_random_with_float_seed(self):
+        with pytest.raises(ValueError, match=self.UNKNOWN):
+            make_strategy("random:1.5")
+
+    def test_random_with_whitespace_seed_accepted(self):
+        # The padded spec is accepted as a name string (no type error) and
+        # reaches the name lookup, which rejects it quoting the spec as given.
+        with pytest.raises(ValueError, match=r"'random: 42 '.*\(known: bfs, coverage, dfs\)"):
+            make_strategy("random: 42 ")
 
     def test_unknown_name_lists_known_ones(self):
         with pytest.raises(ValueError, match="bfs.*coverage.*dfs"):
